@@ -16,8 +16,8 @@ race:
 
 # bench records the PR 10 baseline numbers (load, cold-plan query,
 # warm-plan query with instrumentation disabled and enabled plus their
-# ratio, resident table bytes under the columnar and row layouts and
-# after write churn, per-pattern estimate-vs-actual q-errors over the
+# ratio, resident table bytes with encoded and raw chunks and after
+# write churn, per-pattern estimate-vs-actual q-errors over the
 # LUBM corpus, delete + post-delete-scan points, the lock-free read
 # points — reader p50/p99 during a concurrent bulk load and the
 # snapshot publish cost — the durability points:

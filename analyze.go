@@ -131,11 +131,12 @@ func (s *Store) AnalyzeContext(ctx context.Context, q string) (an *Analysis, err
 	// Explanation and execution run on the same snapshot, so the
 	// reported plan is exactly the one that ran.
 	snap := s.inner.Snapshot()
-	expl, err := s.explainOn(ctx, snap, q)
+	expl, c, cleanup, err := s.explainOn(ctx, snap, q)
 	if err != nil {
-		return nil, attachQuery(q, err)
+		return nil, err
 	}
-	res, stats, cp, err := s.queryFull(ctx, snap, q, true)
+	defer cleanup()
+	res, stats, cp, err := s.queryFull(ctx, snap, q, true, c)
 	an = &Analysis{Explanation: expl, Results: res, Stats: stats}
 	if cp != nil && cp.tr != nil && stats != nil {
 		an.Patterns = patternStats(cp, stats)

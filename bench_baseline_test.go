@@ -9,8 +9,7 @@ package db2rdf_test
 //
 // Besides ns/op each point carries bytes/op and allocs/op, and
 // non-latency points record the resident size of a loaded LUBM store
-// under the encoded-columnar (default), raw-columnar and legacy row
-// layouts — plus the front-coded vs raw dictionary, the on-disk
+// with encoded (default) and raw column chunks — plus the front-coded vs raw dictionary, the on-disk
 // snapshot size, and after snapshot-publishing write churn — so the
 // memory claims of the compressed chunks, the columnar storage and
 // the COW snapshot layer are tracked across PRs. The *_ratio points
@@ -182,11 +181,10 @@ func TestBenchBaseline(t *testing.T) {
 		}
 	})
 
-	// Resident footprints of the same LUBM dataset under three table
-	// layouts — encoded columnar (the default: chunks seal into the
-	// FoR bit-packed form at publish), raw columnar (encoding off),
-	// and the legacy row layout — plus the dictionary under its
-	// front-coded and raw []Term layouts. Tables and dictionary are
+	// Resident footprints of the same LUBM dataset with encoded chunks
+	// (the default: chunks seal into the FoR bit-packed form at
+	// publish) and raw chunks (encoding off), plus the dictionary under
+	// its front-coded and raw []Term layouts. Tables and dictionary are
 	// reported separately (TableBytes / DictBytes).
 	colBytes := s.TableBytes()
 	dictBytes := s.DictBytes()
@@ -201,16 +199,6 @@ func TestBenchBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	rawColBytes := rawColStore.TableBytes()
-	rel.SetDefaultStorage(rel.StorageRows)
-	rowStore, err := db2rdf.Open(db2rdf.Options{})
-	rel.SetDefaultStorage(rel.StorageColumnar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rowStore.LoadTriples(ds.Triples); err != nil {
-		t.Fatal(err)
-	}
-	rowBytes := rowStore.TableBytes()
 
 	// Warm-plan and concurrent query latency against the raw-columnar
 	// store: the encoded-vs-raw ratios below are the flat-scan-latency
@@ -516,7 +504,6 @@ func TestBenchBaseline(t *testing.T) {
 		{Name: "query_during_load_p99", NsOp: float64(loadP99), N: 1},
 		{Name: "table_resident_bytes", NsOp: float64(colBytes), N: 1},
 		{Name: "table_resident_bytes_rawcolumnar", NsOp: float64(rawColBytes), N: 1},
-		{Name: "table_resident_bytes_rowlayout", NsOp: float64(rowBytes), N: 1},
 		{Name: "table_resident_bytes_after_write_churn", NsOp: float64(churnBytes), N: 1},
 		{Name: "dict_resident_bytes", NsOp: float64(dictBytes), N: 1},
 		{Name: "dict_resident_bytes_raw", NsOp: float64(dictRawBytes), N: 1},
@@ -583,9 +570,5 @@ func TestBenchBaseline(t *testing.T) {
 	t.Logf("wrote %s", out)
 	for _, p := range points {
 		t.Logf("%-30s %14.0f ns/op (n=%d, %d B/op, %d allocs/op)", p.Name, p.NsOp, p.N, p.BytesOp, p.AllocsOp)
-	}
-	if rowBytes > 0 {
-		t.Logf("columnar/row resident ratio: %.2fx smaller (%d vs %d bytes)",
-			float64(rowBytes)/float64(colBytes), colBytes, rowBytes)
 	}
 }

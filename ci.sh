@@ -11,8 +11,8 @@ echo "== go test -race =="
 go test -race ./...
 echo "== kernel equivalence (parallel on/off) and plan cache =="
 go test -race -run 'TestKernelEquivalence|TestPlanCache' -count=1 .
-echo "== storage equivalence (encoded / raw columnar / rows) =="
-go test -race -run 'TestStorageEquivalence' -count=1 .
+echo "== storage equivalence (encoded / raw chunks) and the SPARQL oracle =="
+go test -race -run 'TestStorageEquivalence|TestQueryOracle' -count=1 .
 echo "== abort paths (governance, fault injection, panic containment) =="
 go test -race -count=1 \
     -run 'TestExecContext|TestFault|TestPanic|TestAbort|Budget|TestQueryContext|TestDeadline|TestQueryTimeout|TestEarlierParent|TestGraphQueryGovernance|TestPathClosureGovernance|TestExplainGovernance' \
@@ -42,10 +42,13 @@ echo "== hot-path perf gates (instrumentation disabled; reads during load) =="
 DB2RDF_PERF_GATE=1 go test -count=1 -run '^TestPerfGate' -v .
 echo "== resident-bytes gate (encoded <= 0.5x raw tables, fc dict <= 0.7x raw terms) =="
 DB2RDF_PERF_GATE=1 go test -count=1 -run '^TestResidentBytesGate$' -v .
+echo "== benchmark module (its own go.mod: the root go test cannot see it) =="
+(cd perfbench && go vet ./... && go test ./...)
 echo "== fuzz smoke (5s per target) =="
 go test -run '^$' -fuzz '^FuzzLoadReader$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzParseQuery$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzParseUpdate$' -fuzztime 5s .
+go test -run '^$' -fuzz '^FuzzQueryOracle$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 5s ./internal/wal/
 go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime 5s ./internal/rel/

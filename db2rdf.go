@@ -211,11 +211,10 @@ func (s *Store) Len() int {
 
 // StorageBytes returns the resident in-memory size of the store's
 // data: the four DB2RDF relations (DPH, DS, RPH, RS) plus the
-// dictionary's id→term store. Relation bytes cover vector/row storage,
+// dictionary's id→term store. Relation bytes cover column vectors,
 // null bitmaps, and string contents — the number the columnar layout
-// (rel.StorageColumnar, the default) and publish-time chunk sealing
-// are designed to shrink; dictionary bytes cover the front-coded term
-// blocks.
+// and publish-time chunk sealing are designed to shrink; dictionary
+// bytes cover the front-coded term blocks.
 func (s *Store) StorageBytes() int64 {
 	return s.inner.Snapshot().StorageBytes()
 }
@@ -297,7 +296,7 @@ func (s *Store) QueryContext(ctx context.Context, q string) (res *Results, err e
 	// and the epoch the plan cache keys on — to a single published
 	// version; writers publishing meanwhile are invisible.
 	snap := s.inner.Snapshot()
-	res, stats, _, err = s.queryFull(ctx, snap, q, s.profileQueries())
+	res, stats, _, err = s.queryFull(ctx, snap, q, s.profileQueries(), nil)
 	err = attachQuery(q, err)
 	return res, err
 }
@@ -381,29 +380,60 @@ func attachQuery(q string, err error) error {
 // property-path closures are compiled afresh each time (their SQL
 // references per-query temp tables).
 func (s *Store) queryOn(ctx context.Context, snap *store.Snapshot, q string) (*Results, error) {
-	res, _, _, err := s.queryFull(ctx, snap, q, false)
+	res, _, _, err := s.queryFull(ctx, snap, q, false, nil)
 	return res, err
 }
 
 // queryFull is queryOn returning the execution profile (nil unless
 // profile is set) and the compiled plan (nil when compilation itself
 // failed) alongside the results, for EXPLAIN ANALYZE and the
-// slow-query log.
-func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, profile bool) (*Results, *ExecStats, *compiledPlan, error) {
+// slow-query log. A non-nil pre is q already compiled against snap
+// (EXPLAIN ANALYZE compiles once for its explanation); it stands in
+// for the compile a plan-cache miss would run.
+func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, profile bool, pre *compilation) (*Results, *ExecStats, *compiledPlan, error) {
 	// A live (write-lock) snapshot sees mid-update content that is
 	// newer than the published state of the same epoch, so it must
 	// bypass the plan cache in both directions.
 	cacheable := !snap.Live()
-	epoch := snap.Epoch()
 	if cacheable {
-		if cp, ok := s.plans.get(q, epoch); ok {
+		if cp, ok := s.plans.get(q, snap.Epoch()); ok {
 			res, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
 			return res, stats, cp, err
 		}
 	}
+	if pre == nil {
+		c, cleanup, err := s.compile(ctx, snap, q)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		defer cleanup()
+		pre = c
+	}
+	cp := pre.cp
+	if cacheable && len(cp.parsed.Closures) == 0 {
+		s.plans.put(cp)
+	}
+	res, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
+	return res, stats, cp, err
+}
+
+// compilation is one pass through the compile pipeline: the plan that
+// executes, plus the optimizer artifacts an explanation shows.
+type compilation struct {
+	cp   *compiledPlan
+	exec *optimizer.ExecNode
+	flow *optimizer.Flow
+}
+
+// compile runs the whole compile pipeline on query text: SPARQL parse
+// (a failure is a *ParseError), inference rewrite, equality
+// unification and property-path closure materialization, then
+// compileParsed. The caller runs cleanup, which drops the closures'
+// temporary tables, once the plan has executed.
+func (s *Store) compile(ctx context.Context, snap *store.Snapshot, q string) (*compilation, func(), error) {
 	parsed, err := sparql.Parse(q)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, &ParseError{Err: err}
 	}
 	if s.opts.Inference {
 		inferenceRewrite(parsed)
@@ -411,24 +441,45 @@ func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, p
 	sparql.UnifyEqualityFilters(parsed)
 	virtual, cleanup, err := s.materializeClosures(ctx, snap, parsed)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	defer cleanup()
-	tr, err := s.translate(snap, parsed, virtual)
+	c, err := s.compileParsed(snap, parsed, virtual)
 	if err != nil {
-		return nil, nil, nil, err
+		cleanup()
+		return nil, nil, err
 	}
-	cp := &compiledPlan{key: q, epoch: epoch, parsed: parsed, tr: tr}
+	c.cp.key, c.cp.epoch = q, snap.Epoch()
+	return c, cleanup, nil
+}
+
+// compileParsed runs the tail of the compile pipeline on a parsed
+// query: optimize (the hybrid or the naive flow), build the merged
+// plan, translate it to SQL and parse that SQL. Internal callers that
+// build query ASTs directly (CONSTRUCT, DESCRIBE, an update's WHERE)
+// enter here; their one-off plans bypass the cache.
+func (s *Store) compileParsed(snap *store.Snapshot, parsed *sparql.Query, virtual map[string]string) (*compilation, error) {
+	c := &compilation{}
+	var err error
+	if s.opts.DisableHybridOptimizer {
+		c.exec, c.flow = optimizer.OptimizeNaive(parsed, s.inner.StatsView())
+	} else if c.exec, c.flow, err = optimizer.Optimize(parsed, s.inner.StatsView()); err != nil {
+		return nil, err
+	}
+	backend := translator.NewDB2RDF(snap)
+	backend.Virtual = virtual
+	planner := translator.NewPlanner(backend)
+	planner.SetMerging(!s.opts.DisableMerging)
+	tr, err := translator.Translate(parsed, planner.BuildPlan(c.exec), backend)
+	if err != nil {
+		return nil, err
+	}
+	c.cp = &compiledPlan{parsed: parsed, tr: tr}
 	if tr.SQL != "" {
-		if cp.rq, err = rel.ParseQuery(tr.SQL); err != nil {
-			return nil, nil, nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
+		if c.cp.rq, err = rel.ParseQuery(tr.SQL); err != nil {
+			return nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
 		}
 	}
-	if cacheable && len(parsed.Closures) == 0 {
-		s.plans.put(cp)
-	}
-	res, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
-	return res, stats, cp, err
+	return c, nil
 }
 
 // Explanation reports how a query would run.
@@ -469,47 +520,31 @@ func (s *Store) ExplainContext(ctx context.Context, q string) (expl *Explanation
 	defer guard(q, nil, &err)
 	ctx, cancel := s.governCtx(ctx)
 	defer cancel()
-	return s.explainOn(ctx, s.inner.Snapshot(), q)
+	expl, _, cleanup, err := s.explainOn(ctx, s.inner.Snapshot(), q)
+	if err != nil {
+		return nil, err
+	}
+	cleanup()
+	return expl, nil
 }
 
-// explainOn is ExplainContext against a specific snapshot (EXPLAIN
-// ANALYZE reuses it before executing on the same snapshot).
-func (s *Store) explainOn(ctx context.Context, snap *store.Snapshot, q string) (expl *Explanation, err error) {
-	parsed, err := sparql.Parse(q)
+// explainOn compiles q against a specific snapshot and explains the
+// compilation, which it also returns — with the cleanup compile hands
+// out — so EXPLAIN ANALYZE can execute exactly the plan it explains.
+func (s *Store) explainOn(ctx context.Context, snap *store.Snapshot, q string) (*Explanation, *compilation, func(), error) {
+	cached := s.plans.contains(q, snap.Epoch())
+	c, cleanup, err := s.compile(ctx, snap, q)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, attachQuery(q, err)
 	}
-	if s.opts.Inference {
-		inferenceRewrite(parsed)
-	}
-	sparql.UnifyEqualityFilters(parsed)
-	virtual, cleanup, err := s.materializeClosures(ctx, snap, parsed)
-	if err != nil {
-		return nil, attachQuery(q, err)
-	}
-	defer cleanup()
-	exec, flow, err := s.optimize(parsed)
-	if err != nil {
-		return nil, err
-	}
-	backend := translator.NewDB2RDF(snap)
-	backend.Virtual = virtual
-	planner := translator.NewPlanner(backend)
-	planner.SetMerging(!s.opts.DisableMerging)
-	plan := planner.BuildPlan(exec)
-	tr, err := translator.Translate(parsed, plan, backend)
-	if err != nil {
-		return nil, err
-	}
-	expl = &Explanation{Flow: flow.String(), Tree: exec.String(), Plan: plan.String(), SQL: tr.SQL}
-	expl.PlanCached = s.plans.contains(q, snap.Epoch())
+	expl := &Explanation{Flow: c.flow.String(), Tree: c.exec.String(), Plan: c.cp.tr.Plan.String(), SQL: c.cp.tr.SQL, PlanCached: cached}
 	expl.PlanCacheHits, expl.PlanCacheMisses = s.plans.stats()
 	if d, ok := ctx.Deadline(); ok {
 		expl.Deadline = d
 	}
 	expl.MaxResultRows = s.opts.MaxResultRows
 	expl.MaxMemoryBytes = s.opts.MaxMemoryBytes
-	return expl, nil
+	return expl, c, cleanup, nil
 }
 
 // PlanCacheStats returns the lifetime hit and miss counts of the
@@ -520,42 +555,6 @@ func (s *Store) PlanCacheStats() (hits, misses uint64) { return s.plans.stats() 
 // Useful for cold-plan benchmarking; normal invalidation is automatic,
 // keyed on the store's write epoch.
 func (s *Store) ResetPlanCache() { s.plans.reset() }
-
-func (s *Store) optimize(parsed *sparql.Query) (*optimizer.ExecNode, *optimizer.Flow, error) {
-	if s.opts.DisableHybridOptimizer {
-		exec, flow := optimizer.OptimizeNaive(parsed, s.inner.StatsView())
-		return exec, flow, nil
-	}
-	return optimizer.Optimize(parsed, s.inner.StatsView())
-}
-
-func (s *Store) translate(snap *store.Snapshot, parsed *sparql.Query, virtual map[string]string) (*translator.Result, error) {
-	exec, _, err := s.optimize(parsed)
-	if err != nil {
-		return nil, err
-	}
-	backend := translator.NewDB2RDF(snap)
-	backend.Virtual = virtual
-	planner := translator.NewPlanner(backend)
-	planner.SetMerging(!s.opts.DisableMerging)
-	plan := planner.BuildPlan(exec)
-	return translator.Translate(parsed, plan, backend)
-}
-
-// execute compiles tr.SQL (when non-empty) and runs it against the
-// snapshot. Internal callers that build query ASTs directly
-// (CONSTRUCT, DESCRIBE) use it; these one-off plans bypass the cache.
-func (s *Store) execute(ctx context.Context, snap *store.Snapshot, parsed *sparql.Query, tr *translator.Result) (*Results, error) {
-	cp := &compiledPlan{parsed: parsed, tr: tr}
-	if tr.SQL != "" {
-		var err error
-		if cp.rq, err = rel.ParseQuery(tr.SQL); err != nil {
-			return nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
-		}
-	}
-	res, _, err := s.executeCompiledStats(ctx, snap, cp, false)
-	return res, err
-}
 
 // executeCompiledStats runs a compiled plan against the snapshot's
 // database under ctx and the store's resource budgets, with optional

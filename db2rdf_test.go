@@ -1,6 +1,7 @@
 package db2rdf
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -353,5 +354,34 @@ func TestConstSubjectConstObject(t *testing.T) {
 	rs := s.MustQuery(`SELECT ?x WHERE { <Larry_Page> <founder> <Google> . <Larry_Page> <home> ?x }`)
 	if got := bindings(rs, "x"); len(got) != 1 || got[0] != "Palo Alto" {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestParseErrorTyped: SPARQL text that does not parse comes back as a
+// *ParseError from every entry point that parses it, marked as an
+// update where it was one; a query that parses but that the translator
+// rejects is not a ParseError.
+func TestParseErrorTyped(t *testing.T) {
+	s := fig1(t, Options{})
+	const bad = "SELECT ?x WHERE { ?x"
+	for name, run := range map[string]func() error{
+		"Query":      func() error { _, err := s.Query(bad); return err },
+		"Explain":    func() error { _, err := s.Explain(bad); return err },
+		"Analyze":    func() error { _, err := s.Analyze(bad); return err },
+		"QueryGraph": func() error { _, err := s.QueryGraph(bad); return err },
+		"Update":     func() error { _, err := s.Update("INSERT DATA { <a> <b> }"); return err },
+	} {
+		var pe *ParseError
+		if err := run(); !errors.As(err, &pe) {
+			t.Fatalf("%s: %v is not a *ParseError", name, err)
+		}
+		if pe.Update != (name == "Update") {
+			t.Fatalf("%s: ParseError.Update = %v", name, pe.Update)
+		}
+	}
+	_, err := s.Query(`SELECT ?x WHERE { ?x <founder> ?y FILTER (ucase(?y) = "IBM") }`)
+	var pe *ParseError
+	if err == nil || errors.As(err, &pe) {
+		t.Fatalf("a translator rejection must fail without a ParseError, got %v", err)
 	}
 }

@@ -32,6 +32,21 @@ type BudgetError = rel.BudgetError
 // one bad query cannot take the process down. Match with errors.As.
 type PanicError = rel.PanicError
 
+// ParseError reports SPARQL text that does not parse: a malformed
+// query (Query, Explain, Analyze and their Context forms, QueryGraph)
+// or a malformed update request (Update). Its message is the parser's.
+// Match with errors.As; a query that parses but that the translator
+// or executor rejects is not a ParseError.
+type ParseError struct {
+	Update bool // the text was an update request
+	Err    error
+}
+
+func (e *ParseError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the parser's error.
+func (e *ParseError) Unwrap() error { return e.Err }
+
 // isGovernanceErr reports whether err is one of the typed lifecycle
 // errors (cancellation, deadline, budget, contained panic).
 func isGovernanceErr(err error) bool {

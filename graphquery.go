@@ -48,7 +48,7 @@ func (s *Store) QueryGraphContext(ctx context.Context, q string) (out []rdf.Trip
 	defer cancel()
 	parsed, err := sparql.Parse(q)
 	if err != nil {
-		return nil, err
+		return nil, &ParseError{Err: err}
 	}
 	snap := s.inner.Snapshot()
 	switch {
@@ -121,11 +121,12 @@ func (s *Store) queryPattern(ctx context.Context, snap *store.Snapshot, sub, pre
 	tp := &sparql.TriplePattern{ID: 1, S: sub, P: pred, O: obj, Parent: where}
 	where.Triples = []*sparql.TriplePattern{tp}
 	q := &sparql.Query{Vars: vars, Where: where, Limit: -1}
-	tr, err := s.translate(snap, q, nil)
+	c, err := s.compileParsed(snap, q, nil)
 	if err != nil {
 		return nil, err
 	}
-	return s.execute(ctx, snap, q, tr)
+	res, _, err := s.executeCompiledStats(ctx, snap, c.cp, false)
+	return res, err
 }
 
 // describe returns every triple in which each described resource
@@ -147,11 +148,11 @@ func (s *Store) describe(ctx context.Context, snap *store.Snapshot, parsed *spar
 		}
 		// Re-render is avoidable: run the pattern via the normal
 		// pipeline using the parsed query (Star projection).
-		tr, err := s.translate(snap, parsed, nil)
+		c, err := s.compileParsed(snap, parsed, nil)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.execute(ctx, snap, parsed, tr)
+		res, _, err := s.executeCompiledStats(ctx, snap, c.cp, false)
 		if err != nil {
 			return nil, err
 		}

@@ -33,6 +33,10 @@ type ExecNode struct {
 	Children []*ExecNode
 	// Filters are evaluated once every child of this node is joined.
 	Filters []sparql.Expr
+	// Ordered marks an ExecAnd whose children must be joined in the
+	// given order and kept apart: no star merge may move a triple
+	// across an OPTIONAL (see BuildExecTree).
+	Ordered bool
 }
 
 // Leaves returns the leaf nodes beneath n in plan order.
@@ -118,30 +122,105 @@ func (n *ExecNode) minRank(f *Flow) int {
 // semantics are preserved while the flow still dictates order within
 // each class. Filters scoped to purely conjunctive levels float up to
 // the enclosing conjunctive unit list.
+//
+// Late fusing and flattening keep SPARQL's semantics only for patterns
+// that reorderSafe accepts. Any other pattern keeps its own structure:
+// nested groups stay units, units join in document order, and the
+// ExecAnd is Ordered.
 func BuildExecTree(f *Flow, p *sparql.Pattern) *ExecNode {
-	return buildAny(f, p)
+	return buildAny(f, p, reorderSafe(p))
 }
 
-func buildAny(f *Flow, p *sparql.Pattern) *ExecNode {
+// reorderSafe reports whether p may be flattened and reordered: every
+// variable that an OPTIONAL shares with triple patterns outside it is
+// bound by a triple pattern of a required run before it in its group
+// (the pattern is well designed, Pérez et al.), and no FILTER of a
+// nested group that would be flattened mentions a variable that only
+// triple patterns outside that group bind.
+func reorderSafe(root *sparql.Pattern) bool {
+	total := tripleVarCounts(root)
+	safe := true
+	var visit func(p *sparql.Pattern, flattened bool)
+	visit = func(p *sparql.Pattern, flattened bool) {
+		if flattened {
+			inside := tripleVarCounts(p)
+			for _, f := range p.Filters {
+				vars := map[string]bool{}
+				sparql.ExprVars(f, vars)
+				for v := range vars {
+					safe = safe && (inside[v] > 0 || total[v] == 0)
+				}
+			}
+		}
+		before := map[string]bool{}
+		for _, c := range p.Children {
+			switch {
+			case c.Kind == sparql.Optional:
+				inside := tripleVarCounts(c)
+				vars := map[string]bool{}
+				c.Walk(func(q *sparql.Pattern) {
+					for _, f := range q.Filters {
+						sparql.ExprVars(f, vars)
+					}
+				})
+				for v := range inside {
+					vars[v] = true
+				}
+				for v := range vars {
+					safe = safe && (total[v] == inside[v] || before[v])
+				}
+				visit(c.Child(), false)
+			case p.Kind == sparql.And && (c.Kind == sparql.Simple || c.Kind == sparql.And):
+				visit(c, true)
+				for _, t := range c.Triples {
+					for _, v := range t.Vars() {
+						before[v] = true
+					}
+				}
+			default:
+				visit(c, false)
+			}
+		}
+	}
+	visit(root, false)
+	return safe
+}
+
+// tripleVarCounts counts the triple patterns under p that mention
+// each variable.
+func tripleVarCounts(p *sparql.Pattern) map[string]int {
+	out := map[string]int{}
+	for _, t := range p.AllTriples() {
+		for _, v := range t.Vars() {
+			out[v]++
+		}
+	}
+	return out
+}
+
+func buildAny(f *Flow, p *sparql.Pattern, safe bool) *ExecNode {
 	if p.Kind == sparql.Or {
 		or := &ExecNode{Kind: ExecOr, Filters: p.Filters}
 		for _, arm := range p.Children {
-			or.Children = append(or.Children, buildAny(f, arm))
+			or.Children = append(or.Children, buildAny(f, arm, safe))
 		}
 		return or
 	}
-	units, filters := conjunctiveUnits(f, p)
-	var required, optional []*ExecNode
-	for _, u := range units {
-		if u.Kind == ExecOpt {
-			optional = append(optional, u)
-		} else {
-			required = append(required, u)
+	units, filters := conjunctiveUnits(f, p, safe)
+	ordered := units
+	if safe {
+		var required, optional []*ExecNode
+		for _, u := range units {
+			if u.Kind == ExecOpt {
+				optional = append(optional, u)
+			} else {
+				required = append(required, u)
+			}
 		}
+		sort.SliceStable(required, func(i, j int) bool { return required[i].minRank(f) < required[j].minRank(f) })
+		sort.SliceStable(optional, func(i, j int) bool { return optional[i].minRank(f) < optional[j].minRank(f) })
+		ordered = append(required, optional...)
 	}
-	sort.SliceStable(required, func(i, j int) bool { return required[i].minRank(f) < required[j].minRank(f) })
-	sort.SliceStable(optional, func(i, j int) bool { return optional[i].minRank(f) < optional[j].minRank(f) })
-	ordered := append(required, optional...)
 	if len(ordered) == 1 && len(filters) == 0 {
 		return ordered[0]
 	}
@@ -151,13 +230,14 @@ func buildAny(f *Flow, p *sparql.Pattern) *ExecNode {
 		u.Filters = append(u.Filters, filters...)
 		return u
 	}
-	return &ExecNode{Kind: ExecAnd, Children: ordered, Filters: filters}
+	return &ExecNode{Kind: ExecAnd, Children: ordered, Filters: filters, Ordered: !safe}
 }
 
 // conjunctiveUnits flattens nested pure-AND structure (AND is
 // associative, §3.1.2) into a flat unit list plus the filters declared
-// at those levels.
-func conjunctiveUnits(f *Flow, p *sparql.Pattern) ([]*ExecNode, []sparql.Expr) {
+// at those levels. Unless safe, only runs of bare triple patterns
+// flatten; other nested groups stay units of their own.
+func conjunctiveUnits(f *Flow, p *sparql.Pattern, safe bool) ([]*ExecNode, []sparql.Expr) {
 	var units []*ExecNode
 	filters := append([]sparql.Expr(nil), p.Filters...)
 	for _, t := range p.Triples {
@@ -168,21 +248,21 @@ func conjunctiveUnits(f *Flow, p *sparql.Pattern) ([]*ExecNode, []sparql.Expr) {
 		// triples only, handled above
 	case sparql.And:
 		for _, c := range p.Children {
-			switch c.Kind {
-			case sparql.Simple, sparql.And:
-				u, fs := conjunctiveUnits(f, c)
+			switch {
+			case c.Kind == sparql.Simple && len(c.Filters) == 0, safe && c.Kind == sparql.And, safe && c.Kind == sparql.Simple:
+				u, fs := conjunctiveUnits(f, c, safe)
 				units = append(units, u...)
 				filters = append(filters, fs...)
-			case sparql.Or:
-				units = append(units, buildAny(f, c))
-			case sparql.Optional:
-				units = append(units, &ExecNode{Kind: ExecOpt, Children: []*ExecNode{buildAny(f, c.Child())}, Filters: c.Filters})
+			case c.Kind == sparql.Optional:
+				units = append(units, &ExecNode{Kind: ExecOpt, Children: []*ExecNode{buildAny(f, c.Child(), safe)}, Filters: c.Filters})
+			default:
+				units = append(units, buildAny(f, c, safe))
 			}
 		}
 	case sparql.Optional:
 		// An OPTIONAL with no sibling context: treat its child as the
 		// conjunctive content wrapped in an OPT unit.
-		units = append(units, &ExecNode{Kind: ExecOpt, Children: []*ExecNode{buildAny(f, p.Child())}})
+		units = append(units, &ExecNode{Kind: ExecOpt, Children: []*ExecNode{buildAny(f, p.Child(), safe)}})
 	}
 	return units, filters
 }

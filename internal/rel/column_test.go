@@ -9,24 +9,64 @@ import (
 )
 
 // Tests for the columnar layout (column.go, vecscan.go): round-trip
-// equivalence against the row layout across randomized mutation
+// equivalence against a row model across randomized mutation
 // sequences, packed insert/delete transitions, exception values,
 // zone-map pruning correctness, the cached column-name lookup, the
 // float-index regression, and governance semantics of the vectorized
 // scan.
 
-// buildBoth creates the same table under both layouts.
-func buildBoth(t *testing.T, schema Schema) (col, row *Table) {
-	t.Helper()
-	defer SetDefaultStorage(StorageColumnar)
-	SetDefaultStorage(StorageColumnar)
-	col = NewTable("c", schema)
-	SetDefaultStorage(StorageRows)
-	row = NewTable("r", schema)
-	if !col.Columnar() || row.Columnar() {
-		t.Fatal("SetDefaultStorage not honored")
+// rowModel is the reference a columnar table is checked against: a
+// plain slice of rows that the test mutates alongside the table.
+type rowModel []Row
+
+func (m *rowModel) appendRows(rs ...Row) {
+	for _, r := range rs {
+		*m = append(*m, append(Row(nil), r...))
 	}
-	return col, row
+}
+
+// tableRows materializes every live row of tbl in table order, chunk by
+// chunk through the same gather the dense scan uses.
+func tableRows(tbl *Table) []Row {
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	var out []Row
+	for lo := 0; lo < tbl.nrows; lo += chunkRows {
+		seg := make([]Row, min(chunkRows, tbl.nrows-lo))
+		for i := range seg {
+			seg[i] = make(Row, len(tbl.cols))
+		}
+		for j, col := range tbl.cols {
+			col.gatherChunk(lo>>chunkShift, seg, j)
+		}
+		for i, r := range seg {
+			if !tbl.deadLocked(lo + i) {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
+// estimate is the EstimateBytes formula computed row by row.
+func (m rowModel) estimate() int64 {
+	var total, nulls int64
+	for _, r := range m {
+		total += 8 // row header
+		for _, v := range r {
+			switch v.K {
+			case KindNull:
+				nulls++
+			case KindInt, KindFloat:
+				total += 8
+			case KindString:
+				total += int64(len(v.S)) + 4
+			default:
+				total++
+			}
+		}
+	}
+	return total + (nulls+7)/8
 }
 
 // randValue draws a value for a column of type typ; about a third are
@@ -56,41 +96,42 @@ func randValue(r *rand.Rand, typ ColumnType) Value {
 	}
 }
 
-func sameTable(t *testing.T, col, row *Table, what string) {
+func sameTable(t *testing.T, col *Table, model rowModel, what string) {
 	t.Helper()
-	if col.Len() != row.Len() {
-		t.Fatalf("%s: Len %d vs %d", what, col.Len(), row.Len())
+	if col.Len() != len(model) {
+		t.Fatalf("%s: Len %d vs %d", what, col.Len(), len(model))
 	}
-	for i := 0; i < col.Len(); i++ {
-		cr, rr := col.RowAt(i), row.RowAt(i)
-		if !reflect.DeepEqual(cr, rr) {
-			t.Fatalf("%s: RowAt(%d): %v vs %v", what, i, cr, rr)
+	for i, want := range model {
+		if got := col.RowAt(i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: RowAt(%d): %v vs %v", what, i, got, want)
 		}
-		for j := range cr {
-			if cv, rv := col.CellAt(i, j), row.CellAt(i, j); !reflect.DeepEqual(cv, rv) {
-				t.Fatalf("%s: CellAt(%d,%d): %v vs %v", what, i, j, cv, rv)
+		for j := range want {
+			if got := col.CellAt(i, j); !reflect.DeepEqual(got, want[j]) {
+				t.Fatalf("%s: CellAt(%d,%d): %v vs %v", what, i, j, got, want[j])
 			}
 		}
 	}
-	if !reflect.DeepEqual(col.Rows(), row.Rows()) && col.Len() > 0 {
-		t.Fatalf("%s: Rows() diverge", what)
+	if !reflect.DeepEqual(tableRows(col), []Row(model)) && col.Len() > 0 {
+		t.Fatalf("%s: gathered rows diverge", what)
 	}
-	if cb, rb := col.EstimateBytes(), row.EstimateBytes(); cb != rb {
-		t.Fatalf("%s: EstimateBytes %d vs %d (must be layout-independent)", what, cb, rb)
+	if got, want := col.EstimateBytes(), model.estimate(); got != want {
+		t.Fatalf("%s: EstimateBytes %d vs %d (must count logical values)", what, got, want)
 	}
 }
 
 // TestColumnarRoundTrip drives randomized appends, batch appends,
-// cell updates and row updates through both layouts and requires
-// identical logical content after every phase — including NULL↔value
-// transitions that shift the packed vectors, and exception values.
+// cell updates and row updates through a table and a row model and
+// requires identical logical content after every phase — including
+// NULL↔value transitions that shift the packed vectors, and exception
+// values.
 func TestColumnarRoundTrip(t *testing.T) {
 	schema := Schema{
 		{Name: "i", Type: TInt},
 		{Name: "s", Type: TString},
 		{Name: "f", Type: TFloat},
 	}
-	col, row := buildBoth(t, schema)
+	col := NewTable("c", schema)
+	var row rowModel
 	r := rand.New(rand.NewSource(42))
 	mkRow := func() Row {
 		out := make(Row, len(schema))
@@ -105,9 +146,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 		if err := col.Insert(rw); err != nil {
 			t.Fatal(err)
 		}
-		if err := row.Insert(rw); err != nil {
-			t.Fatal(err)
-		}
+		row.appendRows(rw)
 	}
 	sameTable(t, col, row, "after appends")
 
@@ -119,13 +158,10 @@ func TestColumnarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := row.AppendRows(batch)
-	if err != nil {
-		t.Fatal(err)
+	if cb != len(row) {
+		t.Fatalf("AppendRows base %d vs %d", cb, len(row))
 	}
-	if cb != rb {
-		t.Fatalf("AppendRows base %d vs %d", cb, rb)
-	}
+	row.appendRows(batch...)
 	sameTable(t, col, row, "after batch")
 
 	for n := 0; n < 3000; n++ {
@@ -134,28 +170,25 @@ func TestColumnarRoundTrip(t *testing.T) {
 		if err := col.SetCell(i, j, v); err != nil {
 			t.Fatal(err)
 		}
-		if err := row.SetCell(i, j, v); err != nil {
-			t.Fatal(err)
-		}
+		row[i][j] = v
 	}
 	sameTable(t, col, row, "after SetCell churn")
 
 	for n := 0; n < 200; n++ {
 		i := r.Intn(col.Len())
 		rw := mkRow()
-		if err := col.UpdateRow(i, rw); err != nil {
-			t.Fatal(err)
+		for j, v := range rw {
+			if err := col.SetCell(i, j, v); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := row.UpdateRow(i, rw); err != nil {
-			t.Fatal(err)
-		}
+		row[i] = append(Row(nil), rw...)
 	}
-	sameTable(t, col, row, "after UpdateRow churn")
+	sameTable(t, col, row, "after whole-row overwrites")
 }
 
 // TestSetCellOutOfRange pins the error contract.
 func TestSetCellOutOfRange(t *testing.T) {
-	SetDefaultStorage(StorageColumnar)
 	tbl := NewTable("t", Schema{{Name: "a", Type: TInt}})
 	if err := tbl.Insert(Row{Int(1)}); err != nil {
 		t.Fatal(err)
@@ -165,28 +198,6 @@ func TestSetCellOutOfRange(t *testing.T) {
 	}
 	if err := tbl.SetCell(0, 1, Int(2)); err == nil {
 		t.Fatal("column out of range must error")
-	}
-}
-
-// TestRowLayoutSetCellCopies: on the row layout a SetCell must not
-// mutate rows already handed out to readers (query results alias
-// table rows there).
-func TestRowLayoutSetCellCopies(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	SetDefaultStorage(StorageRows)
-	tbl := NewTable("t", Schema{{Name: "a", Type: TInt}})
-	if err := tbl.Insert(Row{Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	seen := tbl.RowAt(0)
-	if err := tbl.SetCell(0, 0, Int(2)); err != nil {
-		t.Fatal(err)
-	}
-	if seen[0].I != 1 {
-		t.Fatal("SetCell mutated a row aliased by a reader")
-	}
-	if got := tbl.CellAt(0, 0); got.I != 2 {
-		t.Fatalf("update lost: %v", got)
 	}
 }
 
@@ -208,69 +219,64 @@ func TestTableColumnIndexCached(t *testing.T) {
 // rows a full scan would find. Floats now index by class: integral
 // floats in the int map (1 finds 1.0), others by bit pattern.
 func TestFloatIndexRegression(t *testing.T) {
-	for _, storage := range []Storage{StorageColumnar, StorageRows} {
-		SetDefaultStorage(storage)
-		db := NewDB()
-		tbl := mustTable(t, db, "m", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TFloat}}, []Row{
-			{Int(0), Float(1.5)},
-			{Int(1), Float(2.0)},
-			{Int(2), Null},
-			{Int(3), Float(1.5)},
-			{Int(4), Int(7)}, // int stored in the float column
-		})
-		if err := tbl.CreateIndex("v"); err != nil {
-			t.Fatalf("%v: TFloat index must be supported: %v", storage, err)
+	db := NewDB()
+	tbl := mustTable(t, db, "m", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TFloat}}, []Row{
+		{Int(0), Float(1.5)},
+		{Int(1), Float(2.0)},
+		{Int(2), Null},
+		{Int(3), Float(1.5)},
+		{Int(4), Int(7)}, // int stored in the float column
+	})
+	if err := tbl.CreateIndex("v"); err != nil {
+		t.Fatalf("TFloat index must be supported: %v", err)
+	}
+	lookup := func(v Value, want int) {
+		t.Helper()
+		ids, ok := tbl.lookup("v", v)
+		if !ok {
+			t.Fatal("index vanished")
 		}
-		lookup := func(v Value, want int) {
-			t.Helper()
-			ids, ok := tbl.lookup("v", v)
-			if !ok {
-				t.Fatalf("%v: index vanished", storage)
-			}
-			if len(ids) != want {
-				t.Fatalf("%v: lookup(%v) = %v, want %d ids", storage, v, ids, want)
-			}
-		}
-		lookup(Float(1.5), 2)
-		lookup(Float(2.0), 1)
-		lookup(Int(2), 1)     // integral float found via int probe
-		lookup(Float(7), 1)   // stored int found via integral-float probe
-		lookup(Float(9.9), 0) // absent
-		lookup(Null, 0)       // NULL never matches
-
-		// End-to-end: the indexed scan path must agree with a full scan.
-		rs, err := db.Query("SELECT m.id FROM m AS m WHERE m.v = 1.5")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rs.Rows) != 2 {
-			t.Fatalf("%v: indexed float equality: want 2 rows, got %v", storage, rs.Rows)
-		}
-
-		// Float values inside an indexed TInt column must be indexed too.
-		ti := mustTable(t, db, "n", Schema{{Name: "k", Type: TInt}}, []Row{
-			{Int(1)}, {Float(1)}, {Float(2.5)},
-		})
-		if err := ti.CreateIndex("k"); err != nil {
-			t.Fatal(err)
-		}
-		if ids, _ := ti.lookup("k", Int(1)); len(ids) != 2 {
-			t.Fatalf("%v: int probe must see the integral float: %v", storage, ids)
-		}
-		if ids, _ := ti.lookup("k", Float(2.5)); len(ids) != 1 {
-			t.Fatalf("%v: non-integral float must be indexed by bit pattern: %v", storage, ids)
+		if len(ids) != want {
+			t.Fatalf("lookup(%v) = %v, want %d ids", v, ids, want)
 		}
 	}
-	SetDefaultStorage(StorageColumnar)
+	lookup(Float(1.5), 2)
+	lookup(Float(2.0), 1)
+	lookup(Int(2), 1)     // integral float found via int probe
+	lookup(Float(7), 1)   // stored int found via integral-float probe
+	lookup(Float(9.9), 0) // absent
+	lookup(Null, 0)       // NULL never matches
+
+	// End-to-end: the indexed scan path must agree with a full scan.
+	rs, err := db.Query("SELECT m.id FROM m AS m WHERE m.v = 1.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) != 2 {
+		t.Fatalf("indexed float equality: want 2 rows, got %v", rs.Rows)
+	}
+
+	// Float values inside an indexed TInt column must be indexed too.
+	ti := mustTable(t, db, "n", Schema{{Name: "k", Type: TInt}}, []Row{
+		{Int(1)}, {Float(1)}, {Float(2.5)},
+	})
+	if err := ti.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	if ids, _ := ti.lookup("k", Int(1)); len(ids) != 2 {
+		t.Fatalf("int probe must see the integral float: %v", ids)
+	}
+	if ids, _ := ti.lookup("k", Float(2.5)); len(ids) != 1 {
+		t.Fatalf("non-integral float must be indexed by bit pattern: %v", ids)
+	}
 }
 
-// zoneDB builds one DB per layout holding the same 8192-row table:
-// "v" is clustered (ascending, so zone maps prune aggressively), "u"
-// is shuffled (no pruning), "s" is a string tag, "n" is NULL on odd
-// rows.
-func zoneDB(t *testing.T, storage Storage) *DB {
+// zoneDB builds a DB holding an 8192-row table and returns the rows
+// as the reference model: "v" is clustered (ascending, so zone maps
+// prune aggressively), "u" is shuffled (no pruning), "s" is a string
+// tag, "n" is NULL on odd rows.
+func zoneDB(t *testing.T) (*DB, rowModel) {
 	t.Helper()
-	SetDefaultStorage(storage)
 	db := NewDB()
 	tbl, err := db.CreateTable("z", Schema{
 		{Name: "v", Type: TInt},
@@ -294,57 +300,78 @@ func zoneDB(t *testing.T, storage Storage) *DB {
 	if _, err := tbl.AppendRows(rows); err != nil {
 		t.Fatal(err)
 	}
+	return db, rows
+}
+
+// zoneModelDB is zoneDB without the model.
+func zoneModelDB(t *testing.T) *DB {
+	db, _ := zoneDB(t)
 	return db
+}
+
+// selectModel evaluates a scan in Go: the rows of m that keep accepts,
+// projected onto cols, in table order.
+func selectModel(m rowModel, cols []int, keep func(Row) bool) []Row {
+	var out []Row
+	for _, r := range m {
+		if keep(r) {
+			p := make(Row, len(cols))
+			for i, c := range cols {
+				p[i] = r[c]
+			}
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // TestVectorizedScanEquivalence runs scan-shaped queries — equality,
 // ranges, inequality, null tests, residual string predicates, and
-// mixes — against both layouts under sequential and parallel
-// execution; results must match row for row.
+// mixes — over raw and sealed chunks under sequential and parallel
+// execution; results must match the row model filtered in Go, row for
+// row.
 func TestVectorizedScanEquivalence(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
 	defer SetParallelism(0, 0)
-	colDB := zoneDB(t, StorageColumnar)
-	rowDB := zoneDB(t, StorageRows)
-	// Publishing seals the columnar chunks (FoR bit-packing, shared
-	// dense bitmaps), so the frozen DB exercises the packed scan fast
-	// paths against the same queries.
-	sealDB := colDB.Publish()
-	queries := []string{
-		"SELECT z.v FROM z AS z WHERE z.v = 5000",
-		"SELECT z.v FROM z AS z WHERE z.v = 100000",    // zone-skips every chunk
-		"SELECT z.v FROM z AS z WHERE z.v < 100",       // prunes all but chunk 0
-		"SELECT z.v FROM z AS z WHERE z.v >= 8100",     // prunes all but the tail
-		"SELECT z.v FROM z AS z WHERE z.v != 0",        // no pruning possible
-		"SELECT z.v FROM z AS z WHERE 2048 <= z.v AND z.v <= 2050", // literal on the left
-		"SELECT z.u FROM z AS z WHERE z.u = 5000",      // shuffled: no chunk pruned
-		"SELECT z.v FROM z AS z WHERE z.n IS NULL AND z.v < 64",
-		"SELECT z.v FROM z AS z WHERE z.n IS NOT NULL AND z.v > 8000",
-		"SELECT z.v FROM z AS z WHERE z.v < 300 AND z.s = 'tag3'",  // residual predicate
-		"SELECT z.s FROM z AS z WHERE z.s = 'tag5' AND z.u < 40",
-		"SELECT z.v, z.u FROM z AS z",                   // unfiltered dense gather
-		"SELECT z.v FROM z AS z WHERE z.v + 0 = 77",     // non-vectorizable arithmetic
+	rawDB, model := zoneDB(t)
+	// Publishing seals the chunks (FoR bit-packing, shared dense
+	// bitmaps), so the frozen DB exercises the packed scan fast paths
+	// against the same queries.
+	sealDB := rawDB.Publish()
+	const v, u, s, n = 0, 1, 2, 3
+	queries := []struct {
+		sql  string
+		cols []int
+		keep func(Row) bool
+	}{
+		{"SELECT z.v FROM z AS z WHERE z.v = 5000", []int{v}, func(r Row) bool { return r[v].I == 5000 }},
+		{"SELECT z.v FROM z AS z WHERE z.v = 100000", []int{v}, func(r Row) bool { return false }},                                           // zone-skips every chunk
+		{"SELECT z.v FROM z AS z WHERE z.v < 100", []int{v}, func(r Row) bool { return r[v].I < 100 }},                                       // prunes all but chunk 0
+		{"SELECT z.v FROM z AS z WHERE z.v >= 8100", []int{v}, func(r Row) bool { return r[v].I >= 8100 }},                                   // prunes all but the tail
+		{"SELECT z.v FROM z AS z WHERE z.v != 0", []int{v}, func(r Row) bool { return r[v].I != 0 }},                                         // no pruning possible
+		{"SELECT z.v FROM z AS z WHERE 2048 <= z.v AND z.v <= 2050", []int{v}, func(r Row) bool { return r[v].I >= 2048 && r[v].I <= 2050 }}, // literal on the left
+		{"SELECT z.u FROM z AS z WHERE z.u = 5000", []int{u}, func(r Row) bool { return r[u].I == 5000 }},                                    // shuffled: no chunk pruned
+		{"SELECT z.v FROM z AS z WHERE z.n IS NULL AND z.v < 64", []int{v}, func(r Row) bool { return r[n].IsNull() && r[v].I < 64 }},
+		{"SELECT z.v FROM z AS z WHERE z.n IS NOT NULL AND z.v > 8000", []int{v}, func(r Row) bool { return !r[n].IsNull() && r[v].I > 8000 }},
+		{"SELECT z.v FROM z AS z WHERE z.v < 300 AND z.s = 'tag3'", []int{v}, func(r Row) bool { return r[v].I < 300 && r[s].S == "tag3" }}, // residual predicate
+		{"SELECT z.s FROM z AS z WHERE z.s = 'tag5' AND z.u < 40", []int{s}, func(r Row) bool { return r[s].S == "tag5" && r[u].I < 40 }},
+		{"SELECT z.v, z.u FROM z AS z", []int{v, u}, func(r Row) bool { return true }},                    // unfiltered dense gather
+		{"SELECT z.v FROM z AS z WHERE z.v + 0 = 77", []int{v}, func(r Row) bool { return r[v].I == 77 }}, // non-vectorizable arithmetic
 	}
 	for _, q := range queries {
+		want := selectModel(model, q.cols, q.keep)
 		for _, workers := range []int{1, 4} {
 			SetParallelism(workers, 1)
-			a, err := colDB.Query(q)
-			if err != nil {
-				t.Fatalf("columnar %q: %v", q, err)
-			}
-			b, err := rowDB.Query(q)
-			if err != nil {
-				t.Fatalf("rows %q: %v", q, err)
-			}
-			if !reflect.DeepEqual(a.Rows, b.Rows) {
-				t.Fatalf("workers=%d %q: columnar %d rows vs row-layout %d rows", workers, q, len(a.Rows), len(b.Rows))
-			}
-			c, err := sealDB.Query(q)
-			if err != nil {
-				t.Fatalf("sealed %q: %v", q, err)
-			}
-			if !reflect.DeepEqual(c.Rows, b.Rows) {
-				t.Fatalf("workers=%d %q: sealed %d rows vs row-layout %d rows", workers, q, len(c.Rows), len(b.Rows))
+			for _, db := range []struct {
+				name string
+				db   *DB
+			}{{"raw", rawDB}, {"sealed", sealDB}} {
+				got, err := db.db.Query(q.sql)
+				if err != nil {
+					t.Fatalf("%s %q: %v", db.name, q.sql, err)
+				}
+				if !reflect.DeepEqual(got.Rows, want) {
+					t.Fatalf("workers=%d %q: %s chunks give %d rows, the model %d", workers, q.sql, db.name, len(got.Rows), len(want))
+				}
 			}
 			SetParallelism(0, 0)
 		}
@@ -356,8 +383,7 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 // row budget — never the rows of skipped chunks — while a scan that
 // actually produces many rows must still trip.
 func TestVecScanBudgetChargesSelectedRows(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar)
+	db := zoneModelDB(t)
 	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v < 10")
 	if err != nil {
 		t.Fatal(err)
@@ -379,8 +405,7 @@ func TestVecScanBudgetChargesSelectedRows(t *testing.T) {
 // TestVecScanFaultInjection: the vectorized scan must keep honoring
 // CkFilter checkpoints (cancellation inside the chunk loop).
 func TestVecScanFaultInjection(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar)
+	db := zoneModelDB(t)
 	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v != -1")
 	if err != nil {
 		t.Fatal(err)

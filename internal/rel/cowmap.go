@@ -146,31 +146,3 @@ func (p *postMap[K]) maybeFold() {
 	}
 	p.base, p.layers = nb, nil
 }
-
-// entryCount returns the number of keys with a non-empty posting list
-// (diagnostics/tests only; O(keys)).
-func (p *postMap[K]) entryCount() int {
-	seen := make(map[K]bool)
-	n := 0
-	visit := func(m map[K][]int32) {
-		for k, v := range m {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if len(v) > 0 {
-				n++
-			}
-		}
-	}
-	if p.dirty != nil {
-		visit(p.dirty)
-	}
-	for _, m := range p.layers {
-		visit(m)
-	}
-	if p.base != nil {
-		visit(p.base)
-	}
-	return n
-}

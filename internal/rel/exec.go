@@ -412,11 +412,6 @@ func (ex *exec) buildPrimary(fi FromItem, conjs []Expr, applied []bool, env map[
 		return ex.scanWithFilters(t, r, alias, conjs, applied)
 	}
 	r.base = t
-	if t.Columnar() {
-		r.scan = true
-	} else {
-		r.rows = t.Rows()
-	}
 	return r, nil
 }
 
@@ -491,12 +486,9 @@ func (ex *exec) scanWithFilters(t *Table, shape *relation, alias string, conjs [
 				return nil, err
 			}
 			if ok {
-				if !rd.shared() {
-					// Columnar reads land in the reader's scratch
-					// buffer; copy survivors into the arena.
-					row = arena.clone(row)
-				}
-				out.rows = append(out.rows, row)
+				// Reads land in the reader's scratch buffer; copy
+				// survivors into the arena.
+				out.rows = append(out.rows, arena.clone(row))
 				if err := tk.emit(); err != nil {
 					return nil, err
 				}
@@ -511,15 +503,10 @@ func (ex *exec) scanWithFilters(t *Table, shape *relation, alias string, conjs [
 	} else {
 		// Defer the filters: a later index nested-loop join can apply
 		// them per probed row, avoiding a filtered copy of the table —
-		// and on a columnar table the whole scan stays unmaterialized
-		// until the vectorized path runs it.
+		// and the whole scan stays unmaterialized until the vectorized
+		// path runs it.
 		out.base = t
 		out.pending = rest
-		if t.Columnar() {
-			out.scan = true
-		} else {
-			out.rows = t.Rows()
-		}
 	}
 	for _, i := range mineIdx {
 		applied[i] = true
@@ -609,7 +596,7 @@ func (ex *exec) pushFilters(r *relation, alias string, conjs []Expr, applied []b
 }
 
 func (ex *exec) filterRelation(r *relation, conds []Expr) (*relation, error) {
-	if r.scan {
+	if r.base != nil {
 		// Fold the conjuncts into the scan's pending set and run the
 		// vectorized scan once instead of materializing first.
 		s := *r
@@ -769,21 +756,15 @@ func countEqLinks(l, r *relation, conjs []Expr, applied []bool) int {
 	return len(eqLinks(l, r, conjs, applied))
 }
 
-// materialize applies any pending filters, detaching the relation from
-// its base table. Columnar scans run the vectorized path (zone-map
-// pruning, selection vectors) whether or not filters are pending.
+// materialize runs a base-table scan through the vectorized path
+// (zone-map pruning, selection vectors), applying its pending filters
+// and detaching the relation from the table. Any other relation is
+// already materialized.
 func (ex *exec) materialize(r *relation) (*relation, error) {
-	if r.scan {
+	if r.base != nil {
 		return ex.vecScan(r)
 	}
-	if len(r.pending) == 0 {
-		return r, nil
-	}
-	out, err := ex.filterRelation(r, r.pending)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return r, nil
 }
 
 // indexLink finds a join link whose probe side is an indexed column of
@@ -1136,12 +1117,6 @@ func combineShape(l, r *relation) *relation {
 	return out
 }
 
-func combineRows(l, r Row) Row {
-	row := make(Row, 0, len(l)+len(r))
-	row = append(row, l...)
-	return append(row, r...)
-}
-
 // rowArena carves output rows out of large value blocks: the join and
 // projection kernels emit one row per match, and one allocation per
 // row is the dominant cost of wide scans. An arena is single-goroutine
@@ -1179,7 +1154,7 @@ func (a *rowArena) alloc(n int) Row {
 	return r
 }
 
-// combine is combineRows out of the arena.
+// combine returns l followed by r in a row out of the arena.
 func (a *rowArena) combine(l, r Row) Row {
 	out := a.alloc(len(l) + len(r))
 	copy(out, l)

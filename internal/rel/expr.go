@@ -12,29 +12,26 @@ type relation struct {
 	cols    []string
 	rows    []Row
 	aliases map[string]bool
-	// base points at the backing table when this relation is a full
-	// scan of it; joins can then use the table's hash indexes (index
-	// nested-loop) instead of building a fresh hash.
-	base *Table
-	// pending holds single-relation filters that have not been applied
-	// yet: base scans defer them so an index nested-loop join can
-	// evaluate them per probed row instead of materializing a filtered
-	// copy of the whole table. Consumers must call DB.materialize (or
-	// check pending per probe) before using rows.
-	pending []Expr
-	// scan marks an unmaterialized full scan of a columnar base table:
-	// rows is nil and materialize routes through the vectorized scan
-	// (vecscan.go) instead of copying the table up front. Size the
+	// base points at the backing table when this relation is an
+	// unmaterialized full scan of it: rows is nil, joins can use the
+	// table's hash indexes (index nested-loop) instead of building a
+	// fresh hash, and materialize routes through the vectorized scan
+	// (vecscan.go) instead of copying the table up front. Size such a
 	// relation with rowCount, not len(rows).
-	scan bool
+	base *Table
+	// pending holds the scan's single-relation filters that have not
+	// been applied yet, so an index nested-loop join can evaluate them
+	// per probed row instead of materializing a filtered copy of the
+	// whole table. Consumers must call materialize (or check pending
+	// per probe) before using rows.
+	pending []Expr
 }
 
 // rowCount is the relation's input cardinality for plan sizing: the
-// base table's row count for an unmaterialized columnar scan (an
-// upper bound when filters are pending, exactly like the row layout's
-// deferred scans), len(rows) otherwise.
+// base table's live row count for an unmaterialized scan (an upper
+// bound when filters are pending), len(rows) otherwise.
 func (r *relation) rowCount() int {
-	if r.scan {
+	if r.base != nil {
 		return r.base.LiveLen()
 	}
 	return len(r.rows)

@@ -68,7 +68,7 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		if err := dst.DecodeSnapshot(buf); err != nil {
 			t.Fatal(err)
 		}
-		rowsEqual(t, src.Rows(), dst.Rows())
+		rowsEqual(t, tableRows(src), tableRows(dst))
 		if dst.Len() != src.Len() || dst.DeadRows() != src.DeadRows() {
 			t.Fatalf("len %d/%d dead %d/%d", dst.Len(), src.Len(), dst.DeadRows(), src.DeadRows())
 		}
@@ -82,6 +82,6 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		if err := dst2.DecodeSnapshot(buf2); err != nil {
 			t.Fatal(err)
 		}
-		rowsEqual(t, src.Rows(), dst2.Rows())
+		rowsEqual(t, tableRows(src), tableRows(dst2))
 	})
 }

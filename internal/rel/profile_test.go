@@ -15,8 +15,7 @@ import (
 // rows as ExecContext plus a populated profile — per-CTE actuals, a
 // scan operator with chunk-skip counts, totals matching the result.
 func TestAnalyzeContextProfile(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar)
+	db := zoneModelDB(t)
 	sql := "WITH C1 AS (SELECT z.v FROM z AS z WHERE z.v < 100) SELECT c.v FROM C1 AS c WHERE c.v > 10"
 	q, err := ParseQuery(sql)
 	if err != nil {
@@ -73,8 +72,7 @@ func TestAnalyzeContextProfile(t *testing.T) {
 // charged against row/memory budgets, and must be returned (partial)
 // even when the budget aborts the query.
 func TestAnalyzeCapturesBudgets(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar)
+	db := zoneModelDB(t)
 	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v < 100")
 	if err != nil {
 		t.Fatal(err)
@@ -120,12 +118,12 @@ func TestExecContextRecordsNothing(t *testing.T) {
 	}
 }
 
-// excDB builds the same table under both layouts: one chunk of int
-// literals 0..n-1 in column v, plus exception cells (kind-mismatched
-// values stored out of line) interleaved in the same chunk.
-func excDB(t *testing.T, storage Storage) *DB {
+// excDB builds a table and returns its rows as the reference model:
+// one chunk of int literals 0..n-1 in column v, plus exception cells
+// (kind-mismatched values stored out of line) interleaved in the same
+// chunk.
+func excDB(t *testing.T) (*DB, rowModel) {
 	t.Helper()
-	SetDefaultStorage(storage)
 	db := NewDB()
 	tbl, err := db.CreateTable("e", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TInt}})
 	if err != nil {
@@ -153,43 +151,50 @@ func excDB(t *testing.T, storage Storage) *DB {
 	if _, err := tbl.AppendRows(rows); err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return db, rows
 }
 
 // TestZoneMapExceptionPruning (regression): a chunk whose exception
 // map holds kind-mismatched values must not be zone-skipped when the
 // predicate could match an exception — Float(500) satisfies v = 500
-// even though the chunk's int zone map tops out at 199.
+// even though the chunk's int zone map tops out at 199. Answers must
+// equal the row model filtered in Go under the executor's comparison.
 func TestZoneMapExceptionPruning(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	colDB := excDB(t, StorageColumnar)
-	rowDB := excDB(t, StorageRows)
-	queries := []string{
-		"SELECT e.id FROM e AS e WHERE e.v = 500",  // only the Float exception; zone map alone would skip the chunk
-		"SELECT e.id FROM e AS e WHERE e.v > 300",  // ditto, range form
-		"SELECT e.id FROM e AS e WHERE e.v >= 500", // boundary
-		"SELECT e.id FROM e AS e WHERE e.v > 79 AND e.v < 81",  // Float 79.5 between int neighbors
-		"SELECT e.id FROM e AS e WHERE e.v = 50",   // int literal at an index whose row was replaced
-		"SELECT e.id FROM e AS e WHERE e.v != 0",   // inequality across exceptions
-		"SELECT e.id FROM e AS e WHERE e.v < 10",   // exceptions all fail the predicate
-		"SELECT e.id FROM e AS e WHERE e.v IS NULL",
-		"SELECT e.id FROM e AS e WHERE e.v IS NOT NULL",
+	db, model := excDB(t)
+	// cmpV reports whether v compares to lit as op wants; NULL and
+	// incomparable kinds never match.
+	cmpV := func(v Value, lit int64, ok func(int) bool) bool {
+		c, comparable := Compare(v, Int(lit))
+		return comparable && !v.IsNull() && ok(c)
+	}
+	eq := func(c int) bool { return c == 0 }
+	queries := []struct {
+		sql  string
+		keep func(Row) bool
+	}{
+		{"SELECT e.id FROM e AS e WHERE e.v = 500", func(r Row) bool { return cmpV(r[1], 500, eq) }},                                  // only the Float exception; zone map alone would skip the chunk
+		{"SELECT e.id FROM e AS e WHERE e.v > 300", func(r Row) bool { return cmpV(r[1], 300, func(c int) bool { return c > 0 }) }},   // ditto, range form
+		{"SELECT e.id FROM e AS e WHERE e.v >= 500", func(r Row) bool { return cmpV(r[1], 500, func(c int) bool { return c >= 0 }) }}, // boundary
+		{"SELECT e.id FROM e AS e WHERE e.v > 79 AND e.v < 81", func(r Row) bool {
+			return cmpV(r[1], 79, func(c int) bool { return c > 0 }) && cmpV(r[1], 81, func(c int) bool { return c < 0 })
+		}}, // Float 79.5 between int neighbors
+		{"SELECT e.id FROM e AS e WHERE e.v = 50", func(r Row) bool { return cmpV(r[1], 50, eq) }},                                // int literal at an index whose row was replaced
+		{"SELECT e.id FROM e AS e WHERE e.v != 0", func(r Row) bool { return cmpV(r[1], 0, func(c int) bool { return c != 0 }) }}, // inequality across exceptions
+		{"SELECT e.id FROM e AS e WHERE e.v < 10", func(r Row) bool { return cmpV(r[1], 10, func(c int) bool { return c < 0 }) }}, // exceptions all fail the predicate
+		{"SELECT e.id FROM e AS e WHERE e.v IS NULL", func(r Row) bool { return r[1].IsNull() }},
+		{"SELECT e.id FROM e AS e WHERE e.v IS NOT NULL", func(r Row) bool { return !r[1].IsNull() }},
 	}
 	for _, q := range queries {
-		a, err := colDB.Query(q)
+		got, err := db.Query(q.sql)
 		if err != nil {
-			t.Fatalf("columnar %q: %v", q, err)
+			t.Fatalf("%q: %v", q.sql, err)
 		}
-		b, err := rowDB.Query(q)
-		if err != nil {
-			t.Fatalf("rows %q: %v", q, err)
-		}
-		if !reflect.DeepEqual(a.Rows, b.Rows) {
-			t.Fatalf("%q: columnar %v vs row-layout %v", q, a.Rows, b.Rows)
+		if want := selectModel(model, []int{0}, q.keep); !reflect.DeepEqual(got.Rows, want) {
+			t.Fatalf("%q: got %v, the model gives %v", q.sql, got.Rows, want)
 		}
 	}
 	// The Float(500) row specifically must be found.
-	rs, err := colDB.Query("SELECT e.id FROM e AS e WHERE e.v = 500")
+	rs, err := db.Query("SELECT e.id FROM e AS e WHERE e.v = 500")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +206,7 @@ func TestZoneMapExceptionPruning(t *testing.T) {
 // TestZoneMapStillPrunesCleanChunks: exception awareness must not cost
 // pruning on chunks without exceptions.
 func TestZoneMapStillPrunesCleanChunks(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar) // no exceptions anywhere
+	db := zoneModelDB(t) // no exceptions anywhere
 	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v = 100000")
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +229,7 @@ func TestZoneMapStillPrunesCleanChunks(t *testing.T) {
 // materialization), and both must equal the manually trimmed full
 // result.
 func TestLimitOffsetPathEquivalence(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar)
+	db := zoneModelDB(t)
 	base := "SELECT z.v FROM z AS z WHERE z.v < 100"
 	full := queryRows(t, db, base) // 100 rows in storage (= ascending) order
 	cases := []struct{ limit, offset int }{

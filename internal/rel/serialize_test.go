@@ -69,7 +69,7 @@ func buildMixedTable(t *testing.T) *Table {
 func TestSnapshotRoundTrip(t *testing.T) {
 	src := buildMixedTable(t)
 	dst := snapshotRoundTrip(t, src)
-	rowsEqual(t, src.Rows(), dst.Rows())
+	rowsEqual(t, tableRows(src), tableRows(dst))
 	if dst.Len() != src.Len() || dst.DeadRows() != 0 {
 		t.Fatalf("len=%d dead=%d", dst.Len(), dst.DeadRows())
 	}
@@ -106,7 +106,7 @@ func TestSnapshotReclaimsDeadCells(t *testing.T) {
 		t.Fatalf("delete-heavy encoding did not shrink: %d >= %d", len(small), len(full))
 	}
 	dst := snapshotRoundTrip(t, src)
-	rowsEqual(t, src.Rows(), dst.Rows())
+	rowsEqual(t, tableRows(src), tableRows(dst))
 	if dst.DeadRows() != src.DeadRows() || dst.Len() != src.Len() {
 		t.Fatalf("dead=%d/%d len=%d/%d", dst.DeadRows(), src.DeadRows(), dst.Len(), src.Len())
 	}
@@ -137,10 +137,10 @@ func TestSnapshotDecodeCorruption(t *testing.T) {
 		if err := dst.DecodeSnapshot(buf[:cut]); err == nil {
 			// A truncation that still parses must at least be
 			// self-consistent.
-			_ = dst.Rows()
+			_ = tableRows(dst)
 		}
 		if dst.Len() != 0 && dst.Len() != src.Len() {
-			_ = dst.Rows() // must not panic regardless
+			_ = tableRows(dst) // must not panic regardless
 		}
 		if err := dst.Insert(make(Row, len(src.Schema))); err != nil {
 			t.Fatalf("cut=%d: table unusable after decode: %v", cut, err)
@@ -151,7 +151,7 @@ func TestSnapshotDecodeCorruption(t *testing.T) {
 		mut[pos] ^= 0x55
 		dst := NewTable("T", src.Schema)
 		if err := dst.DecodeSnapshot(mut); err == nil {
-			_ = dst.Rows()
+			_ = tableRows(dst)
 		}
 	}
 }

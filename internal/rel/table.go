@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -42,39 +41,6 @@ func (s Schema) ColumnIndex(name string) int {
 	}
 	return -1
 }
-
-// Names returns the column names in order.
-func (s Schema) Names() []string {
-	out := make([]string, len(s))
-	for i, c := range s {
-		out[i] = c.Name
-	}
-	return out
-}
-
-// Storage selects a table's backing layout.
-type Storage uint8
-
-const (
-	// StorageColumnar stores one typed vector per column with null
-	// bitmaps and zone maps (see column.go). The default.
-	StorageColumnar Storage = iota
-	// StorageRows stores []Row — the legacy layout, kept for the
-	// columnar/row equivalence tests and as a fallback.
-	StorageRows
-)
-
-// defaultStorage holds the Storage value new tables adopt.
-var defaultStorage atomic.Uint32
-
-// SetDefaultStorage selects the layout used by tables created after
-// the call. Existing tables keep their layout. Used by the
-// storage-equivalence tests to build a row-layout store next to a
-// columnar one.
-func SetDefaultStorage(s Storage) { defaultStorage.Store(uint32(s)) }
-
-// DefaultStorage reports the layout new tables will use.
-func DefaultStorage() Storage { return Storage(defaultStorage.Load()) }
 
 // hashIndex is an equality index on one column. Numeric indexes key
 // ints exactly and floats under join-key semantics: an integral float
@@ -121,53 +87,45 @@ func (x *hashIndex) seal() *hashIndex {
 	return s
 }
 
-// Table is an in-memory relation with optional hash indexes.
-// Concurrent readers are safe once loading has finished; writes take an
+// Table is an in-memory relation with optional hash indexes, stored
+// as one chunked column vector per column (see column.go). Concurrent
+// readers are safe once loading has finished; writes take an
 // exclusive lock. Publish freezes the current contents into an
 // immutable snapshot table that shares all chunk data; from then on
 // writers copy any shared chunk, bitmap or slice directory before
-// mutating it (generation stamps wgen/sgen/tombGen/rowsGen track
-// ownership), so snapshots never observe a mutation.
+// mutating it (generation stamps wgen/sgen/tombGen track ownership),
+// so snapshots never observe a mutation.
 type Table struct {
 	Name   string
 	Schema Schema
 
 	mu      sync.RWMutex
-	storage Storage
 	nrows   int
-	cols    []*colVec // columnar layout
-	rows    []Row     // row layout
-	tomb    []*tombChunk // per-chunk tombstone bitmaps; nil entry = no deletes (see tombstone.go)
-	dead    int          // total tombstoned rows
+	cols    []*colVec
+	tomb    []*tombChunk          // per-chunk tombstone bitmaps; nil entry = no deletes (see tombstone.go)
+	dead    int                   // total tombstoned rows
 	indexes map[string]*hashIndex // by lower-cased column name
 	colIdx  map[string]int        // lower-cased column name → position
 
 	wgen        uint64 // writer generation: bumped by Publish; 0 = never published
 	tombGen     uint64 // generation that owns the tomb slice
-	rowsGen     uint64 // generation that owns the rows slice (row layout)
 	compactions int64  // chunks compacted at publish time (metrics)
 }
 
-// NewTable creates an empty table using the current default storage
-// layout. The column-name cache is built here once; Schema is
-// immutable after table creation (there is no ALTER TABLE), so the
-// cache can never go stale.
+// NewTable creates an empty table. The column-name cache is built here
+// once; Schema is immutable after table creation (there is no ALTER
+// TABLE), so the cache can never go stale.
 func NewTable(name string, schema Schema) *Table {
 	t := &Table{
 		Name:    name,
 		Schema:  schema,
-		storage: DefaultStorage(),
+		cols:    make([]*colVec, len(schema)),
 		indexes: make(map[string]*hashIndex),
 		colIdx:  make(map[string]int, len(schema)),
 	}
 	for i, c := range schema {
 		t.colIdx[strings.ToLower(c.Name)] = i
-	}
-	if t.storage == StorageColumnar {
-		t.cols = make([]*colVec, len(schema))
-		for i, c := range schema {
-			t.cols[i] = &colVec{typ: c.Type}
-		}
+		t.cols[i] = &colVec{typ: c.Type}
 	}
 	return t
 }
@@ -181,9 +139,6 @@ func (t *Table) ColumnIndex(name string) int {
 	}
 	return -1
 }
-
-// Columnar reports whether the table uses the columnar layout.
-func (t *Table) Columnar() bool { return t.storage == StorageColumnar }
 
 // Len returns the number of rows.
 func (t *Table) Len() int {
@@ -208,12 +163,8 @@ func (t *Table) AppendRow(r Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.nrows
-	if t.storage == StorageColumnar {
-		for j, col := range t.cols {
-			col.appendVal(t.wgen, id, r[j])
-		}
-	} else {
-		t.rows = append(t.rows, r)
+	for j, col := range t.cols {
+		col.appendVal(t.wgen, id, r[j])
 	}
 	t.nrows++
 	for _, idx := range t.indexes {
@@ -225,8 +176,8 @@ func (t *Table) AppendRow(r Row) (int, error) {
 // AppendRows appends a batch of rows under one lock acquisition and
 // returns the index of the first; row i of the batch lands at index
 // base+i. Used by the bulk loader to amortize locking and index
-// maintenance across a whole batch. Under the columnar layout the
-// batch is written column-wise, one vector at a time.
+// maintenance across a whole batch. The batch is written column-wise,
+// one vector at a time.
 func (t *Table) AppendRows(rs []Row) (int, error) {
 	for _, r := range rs {
 		if len(r) != len(t.Schema) {
@@ -236,14 +187,10 @@ func (t *Table) AppendRows(rs []Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	base := t.nrows
-	if t.storage == StorageColumnar {
-		for j, col := range t.cols {
-			for i, r := range rs {
-				col.appendVal(t.wgen, base+i, r[j])
-			}
+	for j, col := range t.cols {
+		for i, r := range rs {
+			col.appendVal(t.wgen, base+i, r[j])
 		}
-	} else {
-		t.rows = append(t.rows, rs...)
 	}
 	t.nrows += len(rs)
 	for i, r := range rs {
@@ -254,56 +201,19 @@ func (t *Table) AppendRows(rs []Row) (int, error) {
 	return base, nil
 }
 
-// UpdateRow replaces row i in place (used for filling predicate columns
-// of an existing entity row during RDF loading). Indexed columns must
-// not change value unless reindexed by the caller.
-func (t *Table) UpdateRow(i int, r Row) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= t.nrows {
-		return fmt.Errorf("rel: table %s: row %d out of range", t.Name, i)
-	}
-	if len(r) != len(t.Schema) {
-		return fmt.Errorf("rel: table %s: row width %d != schema width %d", t.Name, len(r), len(t.Schema))
-	}
-	if t.storage == StorageColumnar {
-		for j, col := range t.cols {
-			col.set(t.wgen, i, r[j])
-		}
-		return nil
-	}
-	t.mutableRowsLocked()
-	t.rows[i] = r
-	return nil
-}
-
-// mutableRowsLocked makes the rows slice writable in the current
-// generation: published snapshots capture it len-capped, so appends
-// are invisible to them but slot stores must copy the directory first.
-func (t *Table) mutableRowsLocked() {
-	if t.rowsGen != t.wgen {
-		t.rows = append([]Row(nil), t.rows...)
-		t.rowsGen = t.wgen
-	}
-}
-
 // CellAt returns the value at (row i, column j). Cheaper than RowAt
-// when only a few cells of a wide row are needed — on a columnar
-// table it reads one vector instead of materializing 2k+2 columns.
+// when only a few cells of a wide row are needed — it reads one
+// vector instead of materializing 2k+2 columns.
 func (t *Table) CellAt(i, j int) Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.storage == StorageColumnar {
-		return t.cols[j].get(i)
-	}
-	return t.rows[i][j]
+	return t.cols[j].get(i)
 }
 
-// SetCell updates the single cell (row i, column j). On the row layout
-// the row is copied before mutation, because query results may alias
-// table rows; the columnar layout mutates the vector in place (readers
-// always materialize copies). Indexed columns must not change value
-// unless reindexed by the caller.
+// SetCell updates the single cell (row i, column j) in its column
+// vector (copy-on-write against published snapshots; readers always
+// materialize copies). Indexed columns must not change value unless
+// reindexed by the caller.
 func (t *Table) SetCell(i, j int, v Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -313,27 +223,15 @@ func (t *Table) SetCell(i, j int, v Value) error {
 	if j < 0 || j >= len(t.Schema) {
 		return fmt.Errorf("rel: table %s: column %d out of range", t.Name, j)
 	}
-	if t.storage == StorageColumnar {
-		t.cols[j].set(t.wgen, i, v)
-		return nil
-	}
-	r := make(Row, len(t.rows[i]))
-	copy(r, t.rows[i])
-	r[j] = v
-	t.mutableRowsLocked()
-	t.rows[i] = r
+	t.cols[j].set(t.wgen, i, v)
 	return nil
 }
 
-// RowAt returns row i. The returned slice must not be modified. On a
-// columnar table this materializes a fresh row; prefer CellAt when
-// only a few columns are needed.
+// RowAt materializes row i into a fresh row; prefer CellAt when only
+// a few columns are needed.
 func (t *Table) RowAt(i int) Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.storage == StorageRows {
-		return t.rows[i]
-	}
 	r := make(Row, len(t.cols))
 	for j, col := range t.cols {
 		r[j] = col.get(i)
@@ -341,91 +239,24 @@ func (t *Table) RowAt(i int) Row {
 	return r
 }
 
-// Rows returns every live row. Under the row layout with no deletes
-// this is the backing slice and must be treated as read-only; with
-// deletes it is a filtered copy. Under the columnar layout it
-// materializes the whole table (the executor's scan paths read the
-// vectors directly instead — see vecscan.go).
-func (t *Table) Rows() []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.storage == StorageRows {
-		if t.dead == 0 {
-			return t.rows
-		}
-		out := make([]Row, 0, t.nrows-t.dead)
-		for i, r := range t.rows {
-			if !t.deadLocked(i) {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	rows := t.materializeAllLocked()
-	if t.dead == 0 {
-		return rows
-	}
-	kept := rows[:0]
-	for i, r := range rows {
-		if !t.deadLocked(i) {
-			kept = append(kept, r)
-		}
-	}
-	return kept
-}
-
-func (t *Table) materializeAllLocked() []Row {
-	n := t.nrows
-	width := len(t.cols)
-	out := make([]Row, n)
-	if n == 0 {
-		return out
-	}
-	block := make([]Value, n*width) // zero Value is Null
-	for i := range out {
-		out[i] = block[i*width : (i+1)*width : (i+1)*width]
-	}
-	nchunks := (n + chunkRows - 1) >> chunkShift
-	for ci := 0; ci < nchunks; ci++ {
-		lo := ci << chunkShift
-		hi := lo + chunkRows
-		if hi > n {
-			hi = n
-		}
-		seg := out[lo:hi]
-		for j, col := range t.cols {
-			col.gatherChunk(ci, seg, j)
-		}
-	}
-	return out
-}
-
 // reader returns a snapshot for repeated point reads (index probes).
-// For a columnar table rowAt fills a single scratch buffer, so the
-// returned row is valid only until the next rowAt call and must be
-// copied (rowArena.combine does) before being retained. One reader
-// belongs to exactly one goroutine.
+// rowAt fills a single scratch buffer, so the returned row is valid
+// only until the next rowAt call and must be copied (rowArena.combine
+// does) before being retained. One reader belongs to exactly one
+// goroutine.
 func (t *Table) reader() *tableReader {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.storage == StorageRows {
-		return &tableReader{rows: t.rows}
-	}
-	return &tableReader{columnar: true, cols: t.cols, buf: make(Row, len(t.cols))}
+	return &tableReader{cols: t.cols, buf: make(Row, len(t.cols))}
 }
 
 type tableReader struct {
-	columnar bool
-	rows     []Row
-	cols     []*colVec
-	buf      Row
+	cols []*colVec
+	buf  Row
 }
 
 // rowAt returns row i; see Table.reader for the aliasing contract.
 func (rd *tableReader) rowAt(i int) Row {
-	if !rd.columnar {
-		return rd.rows[i]
-	}
 	// Hot path for index probes over wide sparse tables: compute the
 	// chunk coordinates once, and settle absent cells (nil chunk or
 	// cleared presence bit — the common case for DPH/RPH predicate
@@ -450,10 +281,6 @@ func (rd *tableReader) rowAt(i int) Row {
 	return rd.buf
 }
 
-// shared reports whether rowAt returns long-lived rows (row layout)
-// as opposed to a reused scratch buffer.
-func (rd *tableReader) shared() bool { return !rd.columnar }
-
 // CreateIndex builds (or rebuilds) a hash index on the named column.
 func (t *Table) CreateIndex(col string) error {
 	ci := t.ColumnIndex(col)
@@ -468,20 +295,10 @@ func (t *Table) CreateIndex(col string) error {
 	idx := newHashIndex(ci, t.Schema[ci].Type)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.storage == StorageColumnar {
-		v := t.cols[ci]
-		for i := 0; i < t.nrows; i++ {
-			if t.deadLocked(i) {
-				continue
-			}
+	v := t.cols[ci]
+	for i := 0; i < t.nrows; i++ {
+		if !t.deadLocked(i) {
 			idx.add(v.get(i), int32(i))
-		}
-	} else {
-		for i, r := range t.rows {
-			if t.deadLocked(i) {
-				continue
-			}
-			idx.add(r[ci], int32(i))
 		}
 	}
 	t.indexes[strings.ToLower(col)] = idx
@@ -571,34 +388,11 @@ func (x *hashIndex) add(v Value, id int32) {
 // EstimateBytes approximates the on-disk footprint of the table, used by
 // the NULL-storage experiment (§2.3). NULLs cost one bit (null bitmap /
 // value compression, as DB2 and Postgres do); ints cost 8, floats 8,
-// strings their length plus 4. Both storage layouts report identical
-// estimates for identical logical content.
+// strings their length plus 4, counted per logical row, so the
+// estimate is the same whether the chunks are raw or sealed.
 func (t *Table) EstimateBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.storage == StorageColumnar {
-		return t.estimateColumnarLocked()
-	}
-	var total, nulls int64
-	for _, r := range t.rows {
-		total += 8 // row header
-		for _, v := range r {
-			switch v.K {
-			case KindNull:
-				nulls++ // one bit in the null bitmap
-			case KindInt, KindFloat:
-				total += 8
-			case KindString:
-				total += int64(len(v.S)) + 4
-			default:
-				total++
-			}
-		}
-	}
-	return total + (nulls+7)/8
-}
-
-func (t *Table) estimateColumnarLocked() int64 {
 	total := int64(t.nrows) * 8 // row headers
 	var nulls int64
 	for _, col := range t.cols {
@@ -646,31 +440,16 @@ func (t *Table) estimateColumnarLocked() int64 {
 }
 
 // ResidentBytes reports the actual in-process memory footprint of the
-// table's data (excluding indexes, which are layout-independent):
-// slice headers, Value structs and string contents for the row layout;
-// chunk directories, bitmaps, packed vectors and exception maps for
-// the columnar layout. This is the number behind the
-// table_resident_bytes benchmark metric.
+// table's data, excluding indexes: chunk directories, bitmaps, typed
+// and packed vectors, string contents and exception maps. This is the
+// number behind the table_resident_bytes benchmark metric.
 func (t *Table) ResidentBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	const (
-		sliceHeader = 24
 		stringHeader = 16
-		mapEntry    = 64 // rough per-entry cost of a small map
+		mapEntry     = 64 // rough per-entry cost of a small map
 	)
-	if t.storage == StorageRows {
-		total := int64(sliceHeader) + int64(cap(t.rows))*sliceHeader
-		for _, r := range t.rows {
-			total += int64(cap(r)) * valueBytes
-			for _, v := range r {
-				if v.K == KindString {
-					total += int64(len(v.S))
-				}
-			}
-		}
-		return total
-	}
 	chunkFixed := int64(unsafe.Sizeof(colChunk{}))
 	var total int64
 	for _, col := range t.cols {

@@ -32,13 +32,11 @@ func (t *Table) Publish() *Table {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.compactPendingLocked()
-	if t.storage == StorageColumnar {
-		t.sealChunksLocked()
-	}
+	t.sealChunksLocked()
 	f := &Table{
 		Name:    t.Name,
 		Schema:  t.Schema,
-		storage: t.storage,
+		cols:    make([]*colVec, len(t.cols)),
 		nrows:   t.nrows,
 		dead:    t.dead,
 		colIdx:  t.colIdx,
@@ -49,17 +47,12 @@ func (t *Table) Publish() *Table {
 	for name, idx := range t.indexes {
 		f.indexes[name] = idx.seal()
 	}
-	if t.storage == StorageColumnar {
-		f.cols = make([]*colVec, len(t.cols))
-		for i, c := range t.cols {
-			f.cols[i] = &colVec{
-				typ:      c.typ,
-				chunks:   c.chunks[:len(c.chunks):len(c.chunks)],
-				excCount: c.excCount,
-			}
+	for i, c := range t.cols {
+		f.cols[i] = &colVec{
+			typ:      c.typ,
+			chunks:   c.chunks[:len(c.chunks):len(c.chunks)],
+			excCount: c.excCount,
 		}
-	} else {
-		f.rows = t.rows[:len(t.rows):len(t.rows)]
 	}
 	f.tomb = t.tomb[:len(t.tomb):len(t.tomb)]
 	t.wgen++

@@ -144,16 +144,6 @@ func (p *Pattern) Vars() []string {
 	return out
 }
 
-// Ancestors returns ↑*(p): the chain of enclosing patterns from p's
-// parent to the root.
-func (p *Pattern) Ancestors() []*Pattern {
-	var out []*Pattern
-	for q := p.Parent; q != nil; q = q.Parent {
-		out = append(out, q)
-	}
-	return out
-}
-
 // ancestorsSelfSet returns p plus all its ancestors as a set.
 func ancestorsSelfSet(p *Pattern) map[*Pattern]bool {
 	set := map[*Pattern]bool{p: true}

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"regexp"
-	"strconv"
+	"strings"
 	"sync"
 
 	"db2rdf/internal/dict"
@@ -17,8 +20,9 @@ import (
 //
 //	dstr(id)      lexical form (IRI string, literal value, blank label)
 //	dnum(id)      numeric value of a literal, NULL if non-numeric
-//	dcmp(a, b)    SPARQL-ish ordering: -1/0/1, numeric before string
-//	dsort(id)     sort key: numeric value when numeric, else string
+//	deq(a, b)     SPARQL = over two terms (NULL on a type error)
+//	dcmp(a, b)    SPARQL < ordering: -1/0/1, NULL when incomparable
+//	dsort(id)     ORDER BY key: unbound, blank, IRI, numeric, literal
 //	dlang(id)     language tag ("" when absent)
 //	ddt(id)       datatype IRI ("" when absent)
 //	disiri(id), disliteral(id), disblank(id)  type tests
@@ -74,26 +78,23 @@ func RegisterValueFuncs(db *rel.DB, d *dict.Dict) {
 		}
 		t, ok := decode(args[0])
 		if !ok {
-			return rel.Null, nil
+			return rel.Str(""), nil
 		}
-		if t.Kind == rdf.Literal {
-			if f, err := strconv.ParseFloat(t.Value, 64); err == nil {
-				return rel.Float(f), nil
+		return rel.Str(sortKey(t)), nil
+	})
+	for name, f := range map[string]func(a, b rdf.Term) rel.Value{"deq": termsEqual, "dcmp": compareTerms} {
+		db.RegisterFunc(name, func(args []rel.Value) (rel.Value, error) {
+			if len(args) != 2 {
+				return rel.Null, fmt.Errorf("%s: want 2 args", name)
 			}
-		}
-		return rel.Str(t.Value), nil
-	})
-	db.RegisterFunc("dcmp", func(args []rel.Value) (rel.Value, error) {
-		if len(args) != 2 {
-			return rel.Null, fmt.Errorf("dcmp: want 2 args")
-		}
-		a, aok := decode(args[0])
-		b, bok := decode(args[1])
-		if !aok || !bok {
-			return rel.Null, nil
-		}
-		return compareTerms(a, b)
-	})
+			a, aok := decode(args[0])
+			b, bok := decode(args[1])
+			if !aok || !bok {
+				return rel.Null, nil
+			}
+			return f(a, b), nil
+		})
+	}
 	db.RegisterFunc("dlang", func(args []rel.Value) (rel.Value, error) {
 		t, ok := decode(args[0])
 		if !ok {
@@ -133,32 +134,72 @@ func RegisterValueFuncs(db *rel.DB, d *dict.Dict) {
 	db.RegisterFunc("regexmatch", regexMatchFunc())
 }
 
-// compareTerms orders two terms: numbers numerically, then strings
-// lexically; mixed numeric/non-numeric orders numeric first.
-func compareTerms(a, b rdf.Term) (rel.Value, error) {
+// simpleLiteral reports whether t is a literal without language tag
+// whose datatype is absent or xsd:string.
+func simpleLiteral(t rdf.Term) bool {
+	return t.Kind == rdf.Literal && t.Lang == "" && (t.Datatype == "" || t.Datatype == rdf.XSDString)
+}
+
+// termsEqual is SPARQL's = : numeric or string equality when both
+// terms are numbers or both simple literals, else RDFterm-equal, which
+// is a type error (NULL) for two distinct literals. Two literals of one
+// other datatype compare by lexical form, exact for canonical values.
+func termsEqual(a, b rdf.Term) rel.Value {
+	if c, ok := compareTerms(a, b).AsFloat(); ok {
+		return rel.Bool(c == 0)
+	}
+	switch {
+	case a == b:
+		return rel.Bool(true)
+	case a.Kind != rdf.Literal || b.Kind != rdf.Literal:
+		return rel.Bool(false)
+	}
+	return rel.Null
+}
+
+// compareTerms is SPARQL's < : -1/0/1 over two numbers, two simple
+// literals or two literals of one other datatype (by lexical form),
+// and a type error (NULL) for any other pair.
+func compareTerms(a, b rdf.Term) rel.Value {
 	af, aNum := a.Float()
 	bf, bNum := b.Float()
+	var c int
 	switch {
 	case aNum && bNum:
-		switch {
-		case af < bf:
-			return rel.Int(-1), nil
-		case af > bf:
-			return rel.Int(1), nil
+		c = cmp.Compare(af, bf)
+	case aNum || bNum || a.Kind != rdf.Literal || b.Kind != rdf.Literal:
+		return rel.Null
+	case simpleLiteral(a) && simpleLiteral(b),
+		a.Lang == "" && b.Lang == "" && a.Datatype == b.Datatype:
+		c = strings.Compare(a.Value, b.Value)
+	default:
+		return rel.Null
+	}
+	return rel.Int(int64(c))
+}
+
+// sortKey renders t as a string whose byte order is the ORDER BY order
+// of SPARQL 1.1 §15.1 — blank nodes, then IRIs, then literals — with
+// numbers by value (an order-preserving encoding of the float) before
+// all other literals, which order by lexical form, then language tag,
+// then datatype. The empty key, below every other, stands for unbound.
+func sortKey(t rdf.Term) string {
+	switch t.Kind {
+	case rdf.Blank:
+		return "\x01" + t.Value
+	case rdf.IRI:
+		return "\x02" + t.Value
+	}
+	if f, ok := t.Float(); ok {
+		u := math.Float64bits(f)
+		if f < 0 {
+			u = ^u
+		} else {
+			u |= 1 << 63
 		}
-		return rel.Int(0), nil
-	case aNum:
-		return rel.Int(-1), nil
-	case bNum:
-		return rel.Int(1), nil
+		return string(binary.BigEndian.AppendUint64([]byte{3}, u))
 	}
-	switch {
-	case a.Value < b.Value:
-		return rel.Int(-1), nil
-	case a.Value > b.Value:
-		return rel.Int(1), nil
-	}
-	return rel.Int(0), nil
+	return "\x04" + t.Value + "\x00" + t.Lang + "\x00" + t.Datatype
 }
 
 // regexMatchFunc compiles patterns once and caches them.

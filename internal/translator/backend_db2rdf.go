@@ -236,7 +236,8 @@ func (b *DB2RDF) Access(g *Gen, n *PlanNode, in Ctx) (Ctx, error) {
 		finalVal[i] = "A." + infos[i].rawName
 	}
 
-	// ---- Phase 3: value bindings and conditions.
+	// ---- Phase 3: value bindings and conditions. The value of an
+	// optional item is always a variable of its own (see mergeInto).
 	sel3 := availCols("A")
 	var conds3 []string
 	localNew := map[string]string{} // var -> expression bound in this phase
@@ -247,11 +248,7 @@ func (b *DB2RDF) Access(g *Gen, n *PlanNode, in Ctx) (Ctx, error) {
 		case !tv.IsVar:
 			conds3 = append(conds3, fmt.Sprintf("%s = %d", expr, g.IDOf(tv.Term)))
 		case outVars[tv.Var]:
-			c := fmt.Sprintf("%s = A.%s", expr, g.ColFor(tv.Var))
-			if info.item.Optional {
-				c = fmt.Sprintf("(%s OR %s IS NULL)", c, expr)
-			}
-			conds3 = append(conds3, c)
+			conds3 = append(conds3, fmt.Sprintf("%s = A.%s", expr, g.ColFor(tv.Var)))
 		case localNew[tv.Var] != "":
 			conds3 = append(conds3, fmt.Sprintf("%s = %s", expr, localNew[tv.Var]))
 		default:

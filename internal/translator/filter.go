@@ -66,10 +66,11 @@ func (g *Gen) filterSQL(e sparql.Expr, varExpr map[string]string) (string, error
 	return "", fmt.Errorf("translator: unsupported filter expression %T", e)
 }
 
-// equalitySQL handles = and != with three strategies: id equality for
-// plain term operands, numeric comparison when a numeric literal or
-// arithmetic is involved, and string comparison when a
-// string-returning builtin is involved.
+// equalitySQL handles = and != with four strategies: string
+// comparison when a string-returning builtin is involved, numeric
+// comparison when arithmetic is, id equality when an operand can never
+// be a literal (then SPARQL's = is term identity), and the deq function
+// otherwise, which applies SPARQL's value and type-error rules.
 func (g *Gen) equalitySQL(x *sparql.EBin, varExpr map[string]string) (string, error) {
 	op := x.Op
 	if stringish(x.L) || stringish(x.R) {
@@ -83,7 +84,9 @@ func (g *Gen) equalitySQL(x *sparql.EBin, varExpr map[string]string) (string, er
 		}
 		return fmt.Sprintf("%s %s %s", l, op, r), nil
 	}
-	if numericish(x.L) || numericish(x.R) {
+	_, litL := x.L.(*sparql.ELit)
+	_, litR := x.R.(*sparql.ELit)
+	if numericish(x.L) && !litL || numericish(x.R) && !litR { // arithmetic
 		l, err := g.numSQL(x.L, varExpr)
 		if err != nil {
 			return "", err
@@ -102,7 +105,26 @@ func (g *Gen) equalitySQL(x *sparql.EBin, varExpr map[string]string) (string, er
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s %s %s", l, op, r), nil
+	if g.neverLiteral(x.L) || g.neverLiteral(x.R) {
+		return fmt.Sprintf("%s %s %s", l, op, r), nil
+	}
+	if op == "!=" {
+		return fmt.Sprintf("NOT deq(%s, %s)", l, r), nil
+	}
+	return fmt.Sprintf("deq(%s, %s)", l, r), nil
+}
+
+// neverLiteral reports whether an operand cannot hold a literal: a
+// constant IRI or blank node, or a variable that every triple pattern
+// of the query binds in subject or predicate position.
+func (g *Gen) neverLiteral(e sparql.Expr) bool {
+	switch x := e.(type) {
+	case *sparql.ELit:
+		return x.Term.Kind != rdf.Literal
+	case *sparql.EVar:
+		return g.nonLiteral[x.Name]
+	}
+	return false
 }
 
 // comparisonSQL handles the ordering operators: numeric mode when

@@ -225,7 +225,10 @@ func (p *Planner) BuildPlan(exec *optimizer.ExecNode) *PlanNode {
 	and := &PlanNode{Kind: PlanAnd, Filters: exec.Filters}
 	for _, c := range exec.Children {
 		child := p.BuildPlan(c)
-		and.Children = append(and.Children, p.mergeInto(and.Children, child))
+		if !exec.Ordered {
+			child = p.mergeInto(and.Children, child)
+		}
+		and.Children = append(and.Children, child)
 	}
 	// mergeInto returns nil when the child was absorbed; compact.
 	out := and.Children[:0]
@@ -290,12 +293,17 @@ func (p *Planner) mergeInto(siblings []*PlanNode, child *PlanNode) *PlanNode {
 		return child
 	case PlanOpt:
 		// Definition 3.11: a single-triple OPTIONAL merges into a
-		// compatible required access node.
+		// compatible required access node — when its value position
+		// is a variable no other triple pattern mentions, so that a
+		// row of the star always survives and the item only binds it.
 		inner := child.Children[0]
 		if inner.Kind != PlanAccess || len(inner.Items) != 1 || len(inner.Filters) > 0 || len(child.Filters) > 0 {
 			return child
 		}
 		t := inner.Items[0].Triple
+		if !soleTripleOf(t, ValPos(t, inner.Method)) {
+			return child
+		}
 		for _, s := range siblings {
 			if s == nil || s.Kind != PlanAccess || !methodsCompatible(s.Method, inner.Method) {
 				continue
@@ -368,4 +376,22 @@ func (p *Planner) tryOrMerge(or *PlanNode) *PlanNode {
 		return nil
 	}
 	return &PlanNode{Kind: PlanAccess, Items: items, Method: method, Merge: OrMerge, Filters: or.Filters}
+}
+
+// soleTripleOf reports whether tv is a variable that occurs once in t
+// and in no other triple pattern of t's query.
+func soleTripleOf(t *sparql.TriplePattern, tv sparql.TermOrVar) bool {
+	root := t.Parent
+	for root.Parent != nil {
+		root = root.Parent
+	}
+	uses := 0
+	for _, u := range root.AllTriples() {
+		for _, pos := range []sparql.TermOrVar{u.S, u.P, u.O} {
+			if pos.IsVar && pos.Var == tv.Var {
+				uses++
+			}
+		}
+	}
+	return tv.IsVar && uses == 1
 }

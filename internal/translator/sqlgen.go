@@ -2,6 +2,7 @@ package translator
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -73,7 +74,7 @@ type AccessTrace struct {
 
 // Translate generates SQL for a query plan over the given backend.
 func Translate(q *sparql.Query, plan *PlanNode, backend Backend) (*Result, error) {
-	g := &Gen{backend: backend, varCol: map[string]string{}, colTaken: map[string]bool{}}
+	g := &Gen{backend: backend, varCol: map[string]string{}, colTaken: map[string]bool{}, nonLiteral: nonLiteralVars(q.Where)}
 	res := &Result{Ask: q.Ask, Plan: plan}
 	if len(q.Where.AllTriples()) == 0 {
 		return res, nil
@@ -106,6 +107,19 @@ func Translate(q *sparql.Query, plan *PlanNode, backend Backend) (*Result, error
 	return res, nil
 }
 
+// nonLiteralVars returns the variables of p that occur in no object
+// position.
+func nonLiteralVars(p *sparql.Pattern) map[string]bool {
+	out, object := map[string]bool{}, map[string]bool{}
+	for _, t := range p.AllTriples() {
+		out[t.S.Var], out[t.P.Var], object[t.O.Var] = true, true, true
+	}
+	for v := range object {
+		delete(out, v)
+	}
+	return out
+}
+
 type cteDef struct{ name, body string }
 
 // Ctx tracks the translation context: the current CTE and the set of
@@ -113,6 +127,9 @@ type cteDef struct{ name, body string }
 type Ctx struct {
 	Cte  string
 	Vars map[string]bool
+	// Maybe holds the variables of Vars that may be NULL (unbound) in
+	// some row: bound only under an OPTIONAL or in some UNION arms.
+	Maybe map[string]bool
 }
 
 // BoundVars returns the bound variables in sorted order.
@@ -133,6 +150,9 @@ type Gen struct {
 	varCol   map[string]string
 	colTaken map[string]bool
 	traces   []AccessTrace
+	// nonLiteral holds the variables that every triple pattern binds
+	// in subject or predicate position, so they never hold a literal.
+	nonLiteral map[string]bool
 }
 
 // ColFor returns the stable column name of a SPARQL variable.
@@ -190,7 +210,28 @@ func (g *Gen) Carry(in Ctx, alias string) []string {
 }
 
 // Node translates one plan node, returning the output context.
+//
+// SPARQL joins an unbound variable with any value, which an input
+// threaded into an access (an equality on the variable's column)
+// cannot express. A node that mentions a variable the input may leave
+// unbound is therefore translated on its own and joined to the input
+// NULL-tolerantly.
 func (g *Gen) Node(n *PlanNode, in Ctx) (Ctx, error) {
+	if n.Kind != PlanOpt && in.Cte != "" && len(in.Maybe) > 0 {
+		for v := range planVars(n) {
+			if in.Maybe[v] {
+				own, err := g.node(n, Ctx{Vars: map[string]bool{}})
+				if err != nil {
+					return Ctx{}, err
+				}
+				return g.join(in, own, "JOIN", nil)
+			}
+		}
+	}
+	return g.node(n, in)
+}
+
+func (g *Gen) node(n *PlanNode, in Ctx) (Ctx, error) {
 	switch n.Kind {
 	case PlanAnd:
 		cur := in
@@ -201,7 +242,7 @@ func (g *Gen) Node(n *PlanNode, in Ctx) (Ctx, error) {
 				return Ctx{}, err
 			}
 		}
-		return g.ApplyFilters(n.Filters, cur)
+		return g.applyFilters(n, cur)
 	case PlanOr:
 		return g.orNode(n, in)
 	case PlanOpt:
@@ -224,9 +265,53 @@ func (g *Gen) Node(n *PlanNode, in Ctx) (Ctx, error) {
 			}
 			g.traces = append(g.traces, tr)
 		}
-		return g.ApplyFilters(n.Filters, out)
+		out.Maybe = accessMaybe(n, in)
+		return g.applyFilters(n, out)
 	}
 	return Ctx{}, fmt.Errorf("translator: unknown plan node kind %d", n.Kind)
+}
+
+// accessMaybe returns the possibly-unbound variables after an access:
+// the input's, plus the new ones that not every row binds — those of
+// only the optional items of an OPTIONAL merge, or of only some
+// disjuncts of an OR merge.
+func accessMaybe(n *PlanNode, in Ctx) map[string]bool {
+	maybe := maps.Clone(in.Maybe)
+	binds := map[string]int{} // required items binding each variable
+	required := 0
+	for _, it := range n.Items {
+		if !it.Optional {
+			required++
+			for _, v := range it.Triple.Vars() {
+				binds[v]++
+			}
+		}
+	}
+	for v := range planVars(n) {
+		if !in.Vars[v] && (binds[v] == 0 || n.Merge == OrMerge && binds[v] < required) {
+			if maybe == nil {
+				maybe = map[string]bool{}
+			}
+			maybe[v] = true
+		}
+	}
+	return maybe
+}
+
+// planVars returns the variables of the triple patterns under n.
+func planVars(n *PlanNode) map[string]bool {
+	out := map[string]bool{}
+	for _, it := range n.Items {
+		for _, v := range it.Triple.Vars() {
+			out[v] = true
+		}
+	}
+	for _, c := range n.Children {
+		for v := range planVars(c) {
+			out[v] = true
+		}
+	}
+	return out
 }
 
 // orNode translates a UNION: arms evaluated from the same input
@@ -252,6 +337,7 @@ func (g *Gen) orNode(n *PlanNode, in Ctx) (Ctx, error) {
 		ordered = append(ordered, v)
 	}
 	sort.Strings(ordered)
+	maybe := map[string]bool{}
 	var parts []string
 	for _, a := range arms {
 		var sel []string
@@ -262,6 +348,9 @@ func (g *Gen) orNode(n *PlanNode, in Ctx) (Ctx, error) {
 			} else {
 				sel = append(sel, fmt.Sprintf("NULL AS %s", col))
 			}
+			if !a.Vars[v] || a.Maybe[v] {
+				maybe[v] = true
+			}
 		}
 		if len(sel) == 0 {
 			sel = []string{"1 AS one"}
@@ -269,77 +358,115 @@ func (g *Gen) orNode(n *PlanNode, in Ctx) (Ctx, error) {
 		parts = append(parts, fmt.Sprintf("SELECT %s FROM %s AS A", strings.Join(sel, ", "), a.Cte))
 	}
 	name := g.Emit(strings.Join(parts, "\nUNION ALL\n"))
-	out := Ctx{Cte: name, Vars: allVars}
-	return g.ApplyFilters(n.Filters, out)
+	out := Ctx{Cte: name, Vars: allVars, Maybe: maybe}
+	return g.applyFilters(n, out)
 }
 
 // optNode translates OPTIONAL as a left outer join of the input with
-// the independently translated optional block on their shared
-// variables.
+// the independently translated optional block. The block's own
+// FILTERs are the join condition — SPARQL evaluates them over the
+// merged solution — and the node's filters, those of a group whose
+// only element is the OPTIONAL, follow the join.
 func (g *Gen) optNode(n *PlanNode, in Ctx) (Ctx, error) {
-	child := n.Children[0]
+	block := *n.Children[0]
+	cond := block.Filters
+	block.Filters = nil
 	// Translate the optional block standalone (unbound entity lookups
 	// degrade to scans inside the backend's Access).
-	oc, err := g.Node(child, Ctx{Vars: map[string]bool{}})
-	if err != nil {
-		return Ctx{}, err
-	}
-	oc, err = g.ApplyFilters(n.Filters, oc)
+	oc, err := g.Node(&block, Ctx{Vars: map[string]bool{}})
 	if err != nil {
 		return Ctx{}, err
 	}
 	if in.Cte == "" {
 		// OPTIONAL with no required part: it degenerates to the block
 		// itself (every solution of the block).
-		return oc, nil
+		oc, err = g.filterCtx(cond, oc, oc.Vars)
+	} else {
+		oc, err = g.join(in, oc, "LEFT OUTER JOIN", cond)
 	}
-	var shared, optOnly []string
-	for v := range oc.Vars {
-		if in.Vars[v] {
-			shared = append(shared, v)
-		} else {
-			optOnly = append(optOnly, v)
-		}
+	if err != nil {
+		return Ctx{}, err
 	}
-	sort.Strings(shared)
-	sort.Strings(optOnly)
-	var on []string
-	for _, v := range shared {
+	return g.applyFilters(n, oc)
+}
+
+// join joins left (alias P) with right (alias O) on their shared
+// variables, rendering cond over the merged solution as further ON
+// conjuncts. A shared variable that either side may leave unbound is
+// compatible with anything and takes the bound side's value.
+func (g *Gen) join(left, right Ctx, kind string, cond []sparql.Expr) (Ctx, error) {
+	outer := kind != "JOIN"
+	all := map[string]bool{}
+	for v := range left.Vars {
+		all[v] = true
+	}
+	for v := range right.Vars {
+		all[v] = true
+	}
+	vars := Ctx{Vars: all}.BoundVars()
+	maybe := map[string]bool{}
+	varExpr := map[string]string{}
+	var on, sel []string
+	for _, v := range vars {
 		c := g.ColFor(v)
-		on = append(on, fmt.Sprintf("P.%s = O.%s", c, c))
+		l, r := left.Vars[v], right.Vars[v]
+		lm, rm := left.Maybe[v], right.Maybe[v]
+		expr := "P." + c
+		switch {
+		case l && r && (lm || rm):
+			on = append(on, fmt.Sprintf("(P.%s = O.%s OR P.%s IS NULL OR O.%s IS NULL)", c, c, c, c))
+			expr = fmt.Sprintf("COALESCE(P.%s, O.%s)", c, c)
+			maybe[v] = lm && (rm || outer)
+		case l && r:
+			on = append(on, fmt.Sprintf("P.%s = O.%s", c, c))
+		case r:
+			expr = "O." + c
+			maybe[v] = rm || outer
+		default:
+			maybe[v] = lm
+		}
+		varExpr[v] = expr
+		sel = append(sel, fmt.Sprintf("%s AS %s", expr, c))
+	}
+	for _, f := range cond {
+		c, err := g.filterSQL(f, varExpr)
+		if err != nil {
+			return Ctx{}, err
+		}
+		on = append(on, c)
 	}
 	if len(on) == 0 {
 		on = append(on, "1 = 1")
 	}
-	sel := g.Carry(in, "P")
-	for _, v := range optOnly {
-		c := g.ColFor(v)
-		sel = append(sel, fmt.Sprintf("O.%s AS %s", c, c))
-	}
 	if len(sel) == 0 {
 		sel = []string{"1 AS one"}
 	}
-	body := fmt.Sprintf("SELECT %s FROM %s AS P LEFT OUTER JOIN %s AS O ON %s",
-		strings.Join(sel, ", "), in.Cte, oc.Cte, strings.Join(on, " AND "))
-	name := g.Emit(body)
-	outVars := map[string]bool{}
-	for v := range in.Vars {
-		outVars[v] = true
-	}
-	for v := range oc.Vars {
-		outVars[v] = true
-	}
-	return Ctx{Cte: name, Vars: outVars}, nil
+	body := fmt.Sprintf("SELECT %s FROM %s AS P %s %s AS O ON %s",
+		strings.Join(sel, ", "), left.Cte, kind, right.Cte, strings.Join(on, " AND "))
+	return Ctx{Cte: g.Emit(body), Vars: all, Maybe: maybe}, nil
 }
 
-// ApplyFilters wraps the current CTE in a filtering select.
-func (g *Gen) ApplyFilters(filters []sparql.Expr, in Ctx) (Ctx, error) {
+// applyFilters applies n's FILTERs to in. A FILTER belongs to its
+// group: it sees the variables of the group's own triple patterns,
+// and any other variable of the input as unbound.
+func (g *Gen) applyFilters(n *PlanNode, in Ctx) (Ctx, error) {
+	if len(n.Filters) == 0 {
+		return in, nil
+	}
+	return g.filterCtx(n.Filters, in, planVars(n))
+}
+
+// filterCtx wraps the current CTE in a select filtering by every
+// expression, with the variables outside scope unbound.
+func (g *Gen) filterCtx(filters []sparql.Expr, in Ctx, scope map[string]bool) (Ctx, error) {
 	if len(filters) == 0 || in.Cte == "" {
 		return in, nil
 	}
 	varExpr := map[string]string{}
 	for v := range in.Vars {
-		varExpr[v] = "P." + g.ColFor(v)
+		if scope[v] {
+			varExpr[v] = "P." + g.ColFor(v)
+		}
 	}
 	var conds []string
 	for _, f := range filters {
@@ -356,7 +483,7 @@ func (g *Gen) ApplyFilters(filters []sparql.Expr, in Ctx) (Ctx, error) {
 	body := fmt.Sprintf("SELECT %s FROM %s AS P WHERE %s",
 		strings.Join(sel, ", "), in.Cte, strings.Join(conds, " AND "))
 	name := g.Emit(body)
-	return Ctx{Cte: name, Vars: in.Vars}, nil
+	return Ctx{Cte: name, Vars: in.Vars, Maybe: in.Maybe}, nil
 }
 
 // ValPos returns the value position of a triple under a method (the
@@ -417,6 +544,12 @@ func (g *Gen) finalSelect(q *sparql.Query, out Ctx, res *Result) (string, error)
 			e += " DESC"
 		}
 		orderExprs = append(orderExprs, e)
+	}
+	if len(sel) == 0 {
+		// No variable to project: each solution is the empty row.
+		sel = []string{"1 AS one"}
+		res.Columns = append(res.Columns, "one")
+		res.Hidden++
 	}
 	var b strings.Builder
 	b.WriteString("SELECT ")

@@ -95,7 +95,7 @@ func TestKernelEquivalence(t *testing.T) {
 		}
 		var queries []gen.Query
 		for j := 0; j < 8; j++ {
-			_, sparqlText := randomBGP(r)
+			sparqlText := randomBGP(r)
 			queries = append(queries, gen.Query{Name: fmt.Sprintf("bgp%d_%d", i, j), SPARQL: sparqlText})
 		}
 		runCorpus(t, s, fmt.Sprintf("random%d", i), queries)

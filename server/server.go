@@ -194,10 +194,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q string) {
 			"no acceptable result format; supported: application/sparql-results+json, text/csv, text/tab-separated-values", "")
 		return
 	}
-	if err := db2rdf.ValidateQuery(q); err != nil {
-		s.textError(w, http.StatusBadRequest, fmt.Sprintf("malformed query: %v", err), "")
-		return
-	}
 	if !s.admit() {
 		s.overloaded(w, "server at capacity")
 		return
@@ -223,10 +219,6 @@ func (s *Server) serveUpdate(w http.ResponseWriter, r *http.Request, u string) {
 		s.textError(w, http.StatusForbidden, "endpoint is read-only (start the server with -writable)", "")
 		return
 	}
-	if err := db2rdf.ValidateUpdate(u); err != nil {
-		s.textError(w, http.StatusBadRequest, fmt.Sprintf("malformed update: %v", err), "")
-		return
-	}
 	if !s.admit() {
 		s.overloaded(w, "server at capacity")
 		return
@@ -247,12 +239,21 @@ func (s *Server) serveUpdate(w http.ResponseWriter, r *http.Request, u string) {
 	})
 }
 
-// execError maps an execution failure to a status code: governance
+// execError maps an execution failure to a status code: SPARQL text
+// that does not parse is 400 (the store parses each request once, so
+// malformed requests are classified here, not up front); governance
 // aborts (deadline, budget, cancellation) are 503 capacity signals;
 // contained panics and anything else are 500.
 func (s *Server) execError(w http.ResponseWriter, err error) {
 	var pe *db2rdf.PanicError
+	var parseErr *db2rdf.ParseError
 	switch {
+	case errors.As(err, &parseErr):
+		kind := "query"
+		if parseErr.Update {
+			kind = "update"
+		}
+		s.textError(w, http.StatusBadRequest, fmt.Sprintf("malformed %s: %v", kind, err), "")
 	case errors.As(err, &pe):
 		s.textError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", err), "")
 	case db2rdf.IsGovernanceError(err):

@@ -1,18 +1,20 @@
 package db2rdf_test
 
-// End-to-end storage equivalence across all three layouts: the same
-// datasets loaded into an encoded-columnar store (the default:
-// publish-time chunk sealing on), a raw-columnar store
-// (rel.SetChunkEncoding(false)) and a legacy row-layout store
-// (rel.SetDefaultStorage) must answer the whole benchmark corpus plus
-// random BGPs byte-identically, with morsel parallelism forced off
-// and on. ci.sh runs this under -race next to the parallel on/off
-// gate, which also probes the vectorized scan's chunk partitioning
-// and the sealed chunks' packed fast paths for data races.
+// End-to-end storage equivalence between encoded chunks (the default:
+// publish-time chunk sealing on) and raw chunks
+// (rel.SetChunkEncoding(false)), with morsel parallelism forced off
+// and on. The benchmark corpus must answer byte-identically under
+// both; random queries must also equal the SPARQL oracle
+// (oracle_test.go). ci.sh runs this under -race next to the parallel
+// on/off gate, which also probes the vectorized scan's chunk
+// partitioning and the sealed chunks' packed fast paths for data
+// races.
 
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"db2rdf"
@@ -21,109 +23,84 @@ import (
 	"db2rdf/internal/rel"
 )
 
-// openUnder opens an empty store whose tables use the given layout.
-func openUnder(t *testing.T, storage rel.Storage) *db2rdf.Store {
-	t.Helper()
-	rel.SetDefaultStorage(storage)
-	defer rel.SetDefaultStorage(rel.StorageColumnar)
-	s, err := db2rdf.Open(db2rdf.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestStorageEquivalence(t *testing.T) {
-	defer rel.SetDefaultStorage(rel.StorageColumnar)
 	defer rel.SetParallelism(0, 0)
-	defer rel.SetChunkEncoding(true)
 
 	type tcase struct {
 		name     string
 		triples  []rdf.Triple
 		queries  []gen.Query
 		parallel bool // load via the parallel bulk loader
+		oracle   bool // answers must also equal the oracle's
 	}
 	var cases []tcase
 	for i, ds := range []*gen.Dataset{gen.Micro(3000), gen.LUBM(1)} {
 		// Alternate load paths so both the incremental insert
 		// (CellAt/SetCell) and the partitioned bulk append
 		// (AppendRows) feed the comparison.
-		cases = append(cases, tcase{ds.Name, ds.Triples, ds.Queries, i%2 == 1})
+		cases = append(cases, tcase{ds.Name, ds.Triples, ds.Queries, i%2 == 1, false})
 	}
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 8; i++ {
-		triples := randomDataset(r)
+		triples := oracleData(r)
 		var queries []gen.Query
 		for j := 0; j < 6; j++ {
-			_, sparqlText := randomBGP(r)
-			queries = append(queries, gen.Query{Name: fmt.Sprintf("bgp%d_%d", i, j), SPARQL: sparqlText})
+			queries = append(queries, gen.Query{Name: fmt.Sprintf("q%d_%d", i, j), SPARQL: genOracleQuery(r).render(nil)})
 		}
-		cases = append(cases, tcase{fmt.Sprintf("random%d", i), triples, queries, i%2 == 0})
+		cases = append(cases, tcase{fmt.Sprintf("random%d", i), triples, queries, i%2 == 0, true})
 	}
 
 	for _, c := range cases {
-		load := func(s *db2rdf.Store) error {
-			if c.parallel {
-				return s.LoadTriplesParallel(c.triples, 4)
+		stores := map[bool]*db2rdf.Store{}
+		for _, encoded := range []bool{true, false} {
+			// The knob matters only while loads publish, so it is
+			// restored before the comparison queries run.
+			rel.SetChunkEncoding(encoded)
+			s, err := db2rdf.Open(db2rdf.Options{})
+			if err == nil && c.parallel {
+				err = s.LoadTriplesParallel(c.triples, 4)
+			} else if err == nil {
+				err = s.LoadTriples(c.triples)
 			}
-			return s.LoadTriples(c.triples)
-		}
-		// Encoded columnar (the default): chunks seal at publish.
-		encStore := openUnder(t, rel.StorageColumnar)
-		if err := load(encStore); err != nil {
-			t.Fatalf("%s: encoded-columnar load: %v", c.name, err)
-		}
-		// Raw columnar: sealing suppressed, chunks stay as typed slices.
-		// The knob matters only while loads publish, so it is restored
-		// before the comparison queries run.
-		rel.SetChunkEncoding(false)
-		rawStore := openUnder(t, rel.StorageColumnar)
-		rawErr := load(rawStore)
-		rel.SetChunkEncoding(true)
-		if rawErr != nil {
-			t.Fatalf("%s: raw-columnar load: %v", c.name, rawErr)
-		}
-		rowStore := openUnder(t, rel.StorageRows)
-		if err := load(rowStore); err != nil {
-			t.Fatalf("%s: row-layout load: %v", c.name, err)
+			rel.SetChunkEncoding(true)
+			if err != nil {
+				t.Fatalf("%s (encoded=%v): load: %v", c.name, encoded, err)
+			}
+			stores[encoded] = s
 		}
 		for _, q := range c.queries {
+			var want []string
+			ordered := false
+			if c.oracle {
+				var rows [][]string
+				rows, ordered = oracleAnswer(t, c.triples, q.SPARQL)
+				want = joinRows(rows)
+				if !ordered {
+					sort.Strings(want)
+				}
+			}
 			for _, workers := range []int{1, 4} {
 				rel.SetParallelism(workers, 1)
-				encRes, err := encStore.Query(q.SPARQL)
-				if err != nil {
-					t.Fatalf("%s/%s (encoded, workers=%d): %v", c.name, q.Name, workers, err)
+				answers := map[bool][]string{}
+				for encoded, s := range stores {
+					res, err := s.Query(q.SPARQL)
+					if err != nil {
+						t.Fatalf("%s/%s (encoded=%v, workers=%d): %v", c.name, q.Name, encoded, workers, err)
+					}
+					answers[encoded] = joinRows(renderResults(res))
+					if !ordered {
+						sort.Strings(answers[encoded])
+					}
 				}
-				rawRes, err := rawStore.Query(q.SPARQL)
-				if err != nil {
-					t.Fatalf("%s/%s (raw columnar, workers=%d): %v", c.name, q.Name, workers, err)
-				}
-				rowRes, err := rowStore.Query(q.SPARQL)
 				rel.SetParallelism(0, 0)
-				if err != nil {
-					t.Fatalf("%s/%s (rows, workers=%d): %v", c.name, q.Name, workers, err)
+				enc, raw := strings.Join(answers[true], "\n"), strings.Join(answers[false], "\n")
+				if enc != raw {
+					t.Errorf("%s/%s workers=%d: encoded and raw chunks answer differently:\nencoded:\n%s\nraw:\n%s",
+						c.name, q.Name, workers, enc, raw)
 				}
-				row := canonical(renderResults(rowRes))
-				for _, alt := range []struct {
-					layout string
-					rows   []string
-				}{
-					{"encoded", canonical(renderResults(encRes))},
-					{"raw-columnar", canonical(renderResults(rawRes))},
-				} {
-					if len(alt.rows) != len(row) {
-						t.Errorf("%s/%s workers=%d: row count differs: %s=%d rows=%d",
-							c.name, q.Name, workers, alt.layout, len(alt.rows), len(row))
-						continue
-					}
-					for i := range alt.rows {
-						if alt.rows[i] != row[i] {
-							t.Errorf("%s/%s workers=%d: row %d differs:\n%s: %s\nrows: %s",
-								c.name, q.Name, workers, i, alt.layout, alt.rows[i], row[i])
-							break
-						}
-					}
+				if exp := strings.Join(want, "\n"); c.oracle && enc != exp {
+					t.Errorf("%s/%s workers=%d: answer differs from the oracle\nquery: %s\ngot:\n%s\nwant:\n%s",
+						c.name, q.Name, workers, q.SPARQL, enc, exp)
 				}
 			}
 		}

@@ -74,7 +74,7 @@ func (s *Store) UpdateContext(ctx context.Context, u string) (res *UpdateResult,
 	defer cancel()
 	parsed, err := sparql.ParseUpdate(u)
 	if err != nil {
-		return nil, err
+		return nil, &ParseError{Update: true, Err: err}
 	}
 
 	result := &UpdateResult{}
@@ -156,11 +156,11 @@ func (s *Store) applyModify(ctx context.Context, prefixes map[string]string, op 
 		return err
 	}
 	defer cleanup()
-	tr, err := s.translate(snap, q, virtual)
+	c, err := s.compileParsed(snap, q, virtual)
 	if err != nil {
 		return err
 	}
-	res, err := s.execute(ctx, snap, q, tr)
+	res, _, err := s.executeCompiledStats(ctx, snap, c.cp, false)
 	if err != nil {
 		return err
 	}

@@ -2,11 +2,9 @@ package db2rdf
 
 import "db2rdf/internal/sparql"
 
-// Syntax validation without execution. The HTTP endpoint uses these to
-// classify a request as malformed (400) before running it, keeping the
-// status mapping independent of execution-time governance errors. The
-// parse is cheap relative to execution and repeated parses of a cached
-// query never reach the planner (the plan cache keys on query text).
+// Syntax validation without execution. Query and Update report text
+// that does not parse as a *ParseError themselves, from their one
+// parse; these are for callers that want the syntax check alone.
 
 // ValidateQuery parses q as a SPARQL query, returning the syntax error
 // if it is malformed.
